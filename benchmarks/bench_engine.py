@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import statistics
 import time
@@ -46,11 +45,10 @@ MARKET_START = datetime(2008, 1, 1)
 def _time(fn, repeats: int) -> float:
     """Median wall-clock over ``repeats`` runs, after one warm-up call.
 
-    The warm-up absorbs one-time costs (lazy imports, cache fills, a
-    numba JIT when that kernel is selected) so the timed runs measure
-    steady state; the median is robust to the one slow outlier a
-    shared machine always produces, where best-of quietly rewards
-    noise.
+    The warm-up absorbs one-time costs (lazy imports, cache fills) so
+    the timed runs measure steady state; the median is robust to the
+    one slow outlier a shared machine always produces, where best-of
+    quietly rewards noise.
     """
     fn()
     times = []
@@ -59,19 +57,6 @@ def _time(fn, repeats: int) -> float:
         fn()
         times.append(time.perf_counter() - t0)
     return float(statistics.median(times))
-
-
-def _with_env(key: str, value: str, fn):
-    """Run ``fn`` with one environment variable overridden."""
-    old = os.environ.get(key)
-    os.environ[key] = value
-    try:
-        return fn()
-    finally:
-        if old is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = old
 
 
 def bench_provider(repeats: int) -> dict:
@@ -273,67 +258,6 @@ def bench_profile(days: int) -> dict:
     return {"days": days, "cases": report}
 
 
-def bench_kernel(trace, dataset, problem, router, options, repeats: int) -> dict:
-    """Kernel/threading variants against the default numpy engine.
-
-    Each variant must reproduce the numpy kernel's loads and distance
-    histogram *bitwise* — the selector exists to buy speed, never to
-    move a result. The numba variant is recorded as unavailable (and
-    skipped) when the optional dependency is not installed.
-    """
-    from repro.kernels import KERNEL_ENV, THREADS_ENV, numba_available
-
-    reference = simulate(trace, dataset, problem, router, options)
-    t_numpy = _time(lambda: simulate(trace, dataset, problem, router, options), repeats)
-    section = {"case": "joint_followed_95_5", "numpy_seconds": round(t_numpy, 4), "variants": {}}
-
-    def run_variant(env_key, env_value):
-        result = _with_env(
-            env_key, env_value, lambda: simulate(trace, dataset, problem, router, options)
-        )
-        identical = (
-            result.loads.tobytes() == reference.loads.tobytes()
-            and result.distance_profile.histogram.tobytes()
-            == reference.distance_profile.histogram.tobytes()
-        )
-        seconds = _with_env(
-            env_key,
-            env_value,
-            lambda: _time(lambda: simulate(trace, dataset, problem, router, options), repeats),
-        )
-        return identical, seconds
-
-    if numba_available():
-        identical, seconds = run_variant(KERNEL_ENV, "numba")
-        section["variants"]["numba"] = {
-            "available": True,
-            "seconds": round(seconds, 4),
-            "speedup_vs_numpy": round(t_numpy / seconds, 2),
-            "bit_identical": identical,
-        }
-    else:
-        section["variants"]["numba"] = {"available": False}
-
-    identical, seconds = run_variant(THREADS_ENV, "2")
-    section["variants"]["threads_2"] = {
-        "available": True,
-        "seconds": round(seconds, 4),
-        "speedup_vs_numpy": round(t_numpy / seconds, 2),
-        "bit_identical": identical,
-    }
-
-    for name, variant in section["variants"].items():
-        if not variant.get("available"):
-            print(f"{'kernel:' + name:38s} unavailable (optional dependency not installed)")
-            continue
-        print(
-            f"{'kernel:' + name:38s} {variant['seconds']:7.3f}s  "
-            f"vs numpy {variant['speedup_vs_numpy']:5.2f}x  "
-            f"bit_identical {variant['bit_identical']}"
-        )
-    return section
-
-
 def bench_float32(trace, dataset, problem, router, options, repeats: int) -> dict:
     """The opt-in float32 engine mode: speed and accuracy vs float64.
 
@@ -446,14 +370,6 @@ def bench(days: int, repeats: int) -> dict:
         },
         "runs": runs,
         "profile": bench_profile(min(days, 60)),
-        "kernel": bench_kernel(
-            trace,
-            dataset,
-            problem,
-            joint_router,
-            SimulationOptions(bandwidth_caps=caps),
-            repeats,
-        ),
         "float32": bench_float32(
             trace,
             dataset,

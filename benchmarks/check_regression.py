@@ -117,27 +117,6 @@ def check_profile(fresh: dict) -> list[str]:
     return failures
 
 
-def check_kernel(fresh: dict) -> list[str]:
-    """Gates on the fresh record's kernel/threading variant section."""
-    section = fresh.get("kernel")
-    if section is None:
-        return []  # records from before the kernel selector
-    failures = []
-    for name, variant in section.get("variants", {}).items():
-        if not variant.get("available", False):
-            print(f"{'kernel:' + name:24s} unavailable (optional dependency)  ok")
-            continue
-        identical = bool(variant.get("bit_identical", False))
-        status = "ok" if identical else "FAIL"
-        print(
-            f"{'kernel:' + name:24s} {float(variant.get('seconds', 0.0)):9.3f}s  "
-            f"bit_identical {identical}  {status}"
-        )
-        if not identical:
-            failures.append(f"kernel variant {name} diverged bitwise from the numpy engine")
-    return failures
-
-
 def check_float32(fresh: dict) -> list[str]:
     """Gates on the fresh record's float32 engine-mode section."""
     section = fresh.get("float32")
@@ -393,7 +372,6 @@ def check(baseline: dict, fresh: dict, max_regression: float) -> list[str]:
         + check_sweep(fresh)
         + check_campaign(fresh)
         + check_profile(fresh)
-        + check_kernel(fresh)
         + check_float32(fresh)
         + check_serve(baseline, fresh)
     )

@@ -675,16 +675,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.bench_command != "profile":
         print("repro bench: choose a subcommand (profile)", file=sys.stderr)
         return 2
-    from repro.kernels import engine_threads, kernel_name, numba_available
     from repro.sim.profiling import PHASES, profile_cases
 
     if args.days <= 0 or args.repeats <= 0:
         print("repro bench profile: --days and --repeats must be positive", file=sys.stderr)
         return 2
-    kernel = kernel_name()
-    active = "numba" if kernel == "numba" and numba_available() else "numpy"
-    threads = engine_threads()
-    print(f"kernel={active} (requested {kernel})  threads={threads or 'serial'}")
     report = profile_cases(days=args.days, repeats=args.repeats)
     columns = [p for p in PHASES] + ["total"]
     header = "case".ljust(24) + "".join(c.rjust(14) for c in columns)

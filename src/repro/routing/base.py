@@ -28,7 +28,6 @@ from typing import Protocol
 
 import numpy as np
 
-from repro import kernels
 from repro.errors import ConfigurationError, InfeasibleAllocationError
 from repro.geo.distance import DistanceTable
 from repro.geo.states import all_states
@@ -189,12 +188,19 @@ def batch_allocate(
     otherwise runs the generic shim — sequential ``allocate`` calls in
     step order (preserving per-step semantics for any router that only
     implements the scalar protocol).
+
+    A single float64 step also takes the shim: the batched-router
+    contract makes the scalar ``allocate`` bitwise equal to the batch
+    form there, and it skips the batch form's fixed per-call cost — the
+    common case of a ``/route`` request fed alone. Float32 always takes
+    the batch form, so a float32 step is routed the same way whatever
+    batch it arrives in.
     """
     demand = _engine_float(demand)
     if demand.ndim != 2:
         raise ConfigurationError(f"batch demand must be 2-D, got shape {demand.shape}")
     batch = getattr(router, "allocate_batch", None)
-    if batch is not None:
+    if batch is not None and (demand.shape[0] != 1 or demand.dtype != np.float64):
         return batch(demand, prices, limits)
     n_steps = demand.shape[0]
     prices = _engine_float(prices)
@@ -379,10 +385,7 @@ def greedy_fill_batch(
     The inner walk is allocation-free: index arithmetic runs in int32
     scratch buffers whenever the flat allocation span fits (always, at
     paper scale), dead rows are compacted away once a rank's live set
-    halves, and takes scatter straight into the output tensor. With
-    ``REPRO_ENGINE_KERNEL=numba`` (and numba importable) the walk runs
-    as an njit kernel instead — same operand order, bitwise-identical
-    results.
+    halves, and takes scatter straight into the output tensor.
 
     Parameters
     ----------
@@ -444,8 +447,6 @@ def greedy_fill_batch(
 
     order = state_order if state_order is not None else np.argsort(-demand, axis=1)
     with _profiling().phase("greedy_repair"):
-        if kernels.use_numba():
-            return _greedy_fill_batch_numba(demand, prefs, headroom, order, out, out_rows)
         return _greedy_fill_batch_numpy(
             demand, prefs, headroom, order, distinct_prefs, out, out_rows
         )
@@ -650,31 +651,3 @@ def _fallback_spill_flat(
     head_flat[hrows] = head_l
     return rem
 
-
-def _greedy_fill_batch_numba(
-    demand: np.ndarray,
-    prefs: np.ndarray,
-    headroom: np.ndarray,
-    order: np.ndarray,
-    out: np.ndarray | None,
-    out_rows: np.ndarray | None,
-) -> np.ndarray:
-    """Dispatch the walk to the njit kernel (bitwise-identical)."""
-    n_steps, n_states = demand.shape
-    n_clusters = headroom.shape[1]
-    prefs_all = np.ascontiguousarray(
-        np.broadcast_to(prefs, (n_steps, n_states, prefs.shape[-1])), dtype=np.int64
-    )
-    order64 = np.ascontiguousarray(order, dtype=np.int64)
-    allocation = np.zeros((n_steps, n_states, n_clusters), dtype=demand.dtype)
-    t, s, remaining = kernels.greedy_fill_steps_numba(
-        np.ascontiguousarray(demand), prefs_all, headroom, order64, allocation
-    )
-    if t >= 0:
-        raise InfeasibleAllocationError(
-            f"could not place {remaining:.1f} hits/s for state index {s} at step {t}"
-        )
-    if out is None:
-        return allocation
-    out[np.asarray(out_rows)] = allocation
-    return out

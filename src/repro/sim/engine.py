@@ -14,20 +14,26 @@ and the effective limits (cluster capacity, optionally the 95/5
 ceilings), and records loads, paid prices, and the client-server
 distance distribution into a :class:`~repro.sim.results.SimulationResult`.
 
-Execution is a staged pipeline rather than a step loop:
+Execution is a staged pipeline rather than a step loop, and every
+entry point — offline :func:`simulate`, the stacked
+:func:`simulate_many`, and the incremental
+:class:`~repro.sim.session.RoutingSession` — runs the same three
+private parts:
 
-1. *Precompute* — the seen/paid price tensors for every step, the
-   effective limits, and the steps (if any) that must burst above the
-   95/5 ceilings, are all derived up front with array ops.
-2. *Batch allocate* — maximal runs of steps that share the same limits
-   are handed to the router's vectorised ``allocate_batch`` through
+1. *Horizon* (:class:`_Horizon`) — the seen/paid price tensors for
+   every step of a ``(start, step_seconds, n_steps)`` grid, the
+   effective limits, the 95/5 burst threshold and the strict-burst
+   flag, all derived up front with array ops.
+2. *Route* (:func:`_route`) — rows of demand are handed to the
+   router's vectorised ``allocate_batch`` through
    :func:`repro.routing.base.batch_allocate` (which falls back to
-   sequential per-step calls for routers without a batch form). Runs
-   are chunked to bound the peak size of the ``(T, n_states,
-   n_clusters)`` allocation tensor.
-3. *Reduce* — per-step loads, the 95/5 burst accounting, and the
-   distance histogram are accumulated with array reductions instead of
-   per-step ``bincount`` calls.
+   sequential per-step calls for routers without a batch form), with
+   per-step work reserved for the steps that must burst above the
+   95/5 ceilings.
+3. *Ledger* (:class:`_Ledger`) — per-step loads, the 95/5 burst
+   accounting, and the distance histogram are accumulated with array
+   reductions at fixed chunk boundaries, however the stream was split
+   into calls.
 
 :func:`simulate_per_step` preserves the original one-``allocate``-call-
 per-step loop as the reference implementation; the batched pipeline is
@@ -37,13 +43,13 @@ per-step allocations through one shared chunked reducer
 order of the distance histogram is part of the contract.
 
 :func:`simulate_many` stacks R replica traces that share one market
-data set into a single batched pass: the price/limit precompute runs
-once, routing calls fuse steps from every replica (the router contract
-— slice ``t`` equals the scalar ``allocate`` on step ``t`` — makes
-fused calls bit-identical to per-replica ones), and each replica's
-allocations fold through its own reducer at the *same* chunk
-boundaries :func:`simulate` would use, so every returned result is bit
-for bit the one a standalone :func:`simulate` call produces.
+data set into a single batched pass: one horizon serves every replica,
+routing calls fuse steps from every replica (the router contract —
+slice ``t`` equals the scalar ``allocate`` on step ``t`` — makes fused
+calls bit-identical to per-replica ones), and each replica's
+allocations fold through its own ledger at the *same* chunk boundaries
+:func:`simulate` would use, so every returned result is bit for bit
+the one a standalone :func:`simulate` call produces.
 
 Chunking is sized by memory, not by a step count: a chunk's
 ``(chunk, n_states, n_clusters)`` float64 allocation tensor is kept
@@ -57,14 +63,11 @@ longer chunks under the same ceiling.
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from repro import kernels
 from repro.errors import ConfigurationError, InfeasibleAllocationError
 from repro.markets.generator import MarketDataset
 from repro.routing.base import Router, RoutingProblem, batch_allocate
@@ -136,16 +139,13 @@ class _AllocationReducer:
         self._buffer = np.zeros((self._chunk, n_states, n_clusters), dtype=dtype)
         self.total = np.zeros((n_states, n_clusters))
 
-    def put(self, offsets: np.ndarray | int, allocations: np.ndarray) -> None:
+    def put(self, offsets: slice | int, allocations: np.ndarray) -> None:
         """Record allocations at chunk-relative step offsets."""
         self._buffer[offsets] = allocations
 
     def reduce_chunk(self, size: int) -> None:
         """Fold the first ``size`` buffered steps into the totals."""
-        if kernels.use_numba() and self._buffer.dtype == np.float64:
-            kernels.reduce_chunk_numba(self._buffer, size, self.total)
-        else:
-            self.total += self._buffer[:size].sum(axis=0, dtype=np.float64)
+        self.total += self._buffer[:size].sum(axis=0, dtype=np.float64)
 
     def histogram(self, bin_index: np.ndarray, n_bins: int) -> np.ndarray:
         """The demand-weighted distance histogram of the whole run."""
@@ -207,20 +207,14 @@ class SimulationOptions:
             object.__setattr__(self, "bandwidth_caps", caps)
 
 
-def _burst_mask(limits: np.ndarray, demand: np.ndarray) -> np.ndarray:
-    """Steps whose total demand cannot fit under the summed limits."""
-    finite = np.isfinite(limits)
-    total_limit = float(np.sum(limits[finite])) + (np.inf if np.any(~finite) else 0.0)
-    return demand.sum(axis=1) > total_limit + 1e-6
-
-
-def _hour_indices(trace: TrafficTrace, dataset: MarketDataset) -> np.ndarray:
-    """Map every trace step to its hour index in the market calendar."""
+def _hour_indices(grid, dataset: MarketDataset) -> np.ndarray:
+    """Map every step of a grid (``start``, ``step_seconds``, ``n_steps``)
+    to its hour index in the market calendar."""
     calendar = dataset.calendar
-    offset_seconds = (trace.start - calendar.start).total_seconds()
+    offset_seconds = (grid.start - calendar.start).total_seconds()
     if offset_seconds < 0:
         raise ConfigurationError("trace starts before the market calendar")
-    step_starts = offset_seconds + np.arange(trace.n_steps) * trace.step_seconds
+    step_starts = offset_seconds + np.arange(grid.n_steps) * grid.step_seconds
     hours = (step_starts // SECONDS_PER_HOUR).astype(np.int64)
     if hours[-1] >= calendar.n_hours:
         raise ConfigurationError("trace extends past the market calendar")
@@ -237,83 +231,220 @@ def _distance_bins(problem: RoutingProblem) -> tuple[np.ndarray, int]:
     return bin_index, int(DISTANCE_MAX_KM / DISTANCE_BIN_KM)
 
 
-@dataclass(frozen=True, slots=True)
-class _PreparedRun:
-    """Stage-1 output: everything derivable before any allocation."""
+class _Horizon:
+    """Everything one run fixes before any demand arrives.
 
-    seen_prices: np.ndarray
-    paid_prices: np.ndarray
-    capacity_limits: np.ndarray
-    limits: np.ndarray
-    tracker: Bandwidth95Tracker | None
-    burst_steps: np.ndarray
-    bin_index: np.ndarray
-    n_bins: int
+    Prices never depend on demand, so the seen/paid price tensors for
+    every step of the grid, the effective limits, and the 95/5 burst
+    threshold are derived once. The arrays the router sees
+    (``prices``, ``limits``, ``capacity_limits``) are in the engine
+    dtype — the prepared tensors themselves on the default float64
+    path, one up-front cast on float32 — while billing
+    (``paid_prices``) stays float64.
+    """
+
+    def __init__(
+        self,
+        dataset: MarketDataset,
+        problem: RoutingProblem,
+        router: Router,
+        opts: SimulationOptions,
+        *,
+        start,
+        step_seconds: int,
+        n_steps: int,
+        router_prices: np.ndarray | None = None,
+    ) -> None:
+        deployment = problem.deployment
+        self.problem = problem
+        self.router = router
+        self.start = start
+        self.step_seconds = step_seconds
+        self.n_steps = n_steps
+
+        hour_idx = _hour_indices(self, dataset)
+        hub_columns = np.array([dataset.hub_column(code) for code in deployment.hub_codes])
+        if router_prices is not None:
+            seen_prices = np.asarray(router_prices, dtype=float)
+            if seen_prices.shape != (n_steps, deployment.n_clusters):
+                raise ConfigurationError(
+                    "router_prices must be (n_steps, n_clusters), got "
+                    f"{seen_prices.shape}"
+                )
+        else:
+            lagged = dataset.lagged_price_matrix(opts.reaction_delay_hours)
+            seen_prices = lagged[hour_idx][:, hub_columns]
+        self.seen_prices = seen_prices
+        self.paid_prices = dataset.price_matrix[hour_idx][:, hub_columns]
+
+        if opts.relax_capacity:
+            capacity_limits = np.full(deployment.n_clusters, np.inf)
+        else:
+            capacity_limits = deployment.capacities * opts.capacity_margin
+
+        limits = capacity_limits
+        #: Rows whose total demand exceeds this threshold burst above
+        #: the 95/5 caps (None when the run is unconstrained).
+        self.burst_threshold: float | None = None
+        self.caps = opts.bandwidth_caps
+        if self.caps is not None:
+            if self.caps.shape != (deployment.n_clusters,):
+                raise ConfigurationError(
+                    "bandwidth caps must have one entry per cluster, got "
+                    f"{self.caps.shape[0]} for {deployment.n_clusters} clusters"
+                )
+            limits = np.minimum(capacity_limits, self.caps)
+            # Steps whose national demand cannot fit under the 95/5
+            # caps burst: the router is run against the plain capacity
+            # limits instead (these are exactly the intervals where the
+            # baseline itself exceeded its 95th percentile, so they
+            # fall in the billing-free 5% — the tracker verifies). The
+            # predicate mirrors greedy_fill's infeasibility test.
+            finite = np.isfinite(limits)
+            total_limit = float(np.sum(limits[finite])) + (np.inf if np.any(~finite) else 0.0)
+            self.burst_threshold = total_limit + 1e-6
+
+        # Burst steps may be batched against plain capacity instead of
+        # replayed only under the router's ``strict_infeasibility``
+        # promise *and* the float64 engine: the burst predicate is
+        # float-identical to greedy_fill's infeasibility test only when
+        # both run at the precision of the precompute.
+        self.strict_burst = (
+            self.caps is not None
+            and problem.dtype == np.float64
+            and bool(getattr(router, "strict_infeasibility", False))
+        )
+
+        if problem.dtype == np.float64:
+            self.prices, self.limits, self.capacity_limits = seen_prices, limits, capacity_limits
+        else:
+            self.prices = seen_prices.astype(problem.dtype)
+            self.limits = limits.astype(problem.dtype)
+            self.capacity_limits = capacity_limits.astype(problem.dtype)
+        self.bin_index, self.n_bins = _distance_bins(problem)
+        self.chunk_steps = batch_chunk_steps(problem.n_states, problem.n_clusters)
 
 
-def _prepare(
-    trace: TrafficTrace,
-    dataset: MarketDataset,
-    problem: RoutingProblem,
-    opts: SimulationOptions,
-    router_prices: np.ndarray | None,
-) -> _PreparedRun:
-    """Precompute price tensors, effective limits, and burst steps."""
-    deployment = problem.deployment
+def _replay_with_retry(
+    horizon: _Horizon, demand: np.ndarray, prices: np.ndarray
+) -> np.ndarray:
+    """Reference semantics, one step at a time: capped limits first,
+    plain capacity when the router raises."""
+    router = horizon.router
+    out = np.empty((demand.shape[0], demand.shape[1], horizon.limits.shape[0]), dtype=demand.dtype)
+    for i in range(demand.shape[0]):
+        try:
+            out[i] = router.allocate(demand[i], prices[i], horizon.limits)
+        except InfeasibleAllocationError:
+            out[i] = router.allocate(demand[i], prices[i], horizon.capacity_limits)
+    return out
 
-    if trace.state_codes != problem.state_codes:
-        raise ConfigurationError("trace state order does not match routing problem")
 
-    hour_idx = _hour_indices(trace, dataset)
-    hub_columns = np.array([dataset.hub_column(code) for code in deployment.hub_codes])
-    if router_prices is not None:
-        seen_prices = np.asarray(router_prices, dtype=float)
-        if seen_prices.shape != (trace.n_steps, deployment.n_clusters):
-            raise ConfigurationError(
-                "router_prices must be (n_steps, n_clusters), got "
-                f"{seen_prices.shape}"
-            )
-    else:
-        lagged = dataset.lagged_price_matrix(opts.reaction_delay_hours)
-        seen_prices = lagged[hour_idx][:, hub_columns]
-    paid_prices = dataset.price_matrix[hour_idx][:, hub_columns]
+def _route_capped(horizon: _Horizon, demand: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """Non-burst rows: one batched call against the effective limits."""
+    try:
+        return batch_allocate(horizon.router, demand, prices, horizon.limits)
+    except InfeasibleAllocationError:
+        if horizon.caps is None:
+            raise
+        # The burst predicate only anticipates total-demand overflow; a
+        # router may still raise on per-cluster structure (e.g. a
+        # capped candidate set). Fall back to the per-step contract.
+        return _replay_with_retry(horizon, demand, prices)
 
-    if opts.relax_capacity:
-        capacity_limits = np.full(deployment.n_clusters, np.inf)
-    else:
-        capacity_limits = deployment.capacities * opts.capacity_margin
 
-    tracker: Bandwidth95Tracker | None = None
-    limits = capacity_limits
-    burst_steps = np.zeros(trace.n_steps, dtype=bool)
-    if opts.bandwidth_caps is not None:
-        if opts.bandwidth_caps.shape != (deployment.n_clusters,):
-            raise ConfigurationError(
-                "bandwidth caps must have one entry per cluster, got "
-                f"{opts.bandwidth_caps.shape[0]} for {deployment.n_clusters} clusters"
-            )
-        tracker = Bandwidth95Tracker(opts.bandwidth_caps, trace.n_steps)
-        limits = np.minimum(capacity_limits, tracker.limits())
-        # Steps whose national demand cannot fit under the 95/5 caps
-        # burst: the router is run against the plain capacity limits
-        # instead (these are exactly the intervals where the baseline
-        # itself exceeded its 95th percentile, so they fall in the
-        # billing-free 5% — the tracker verifies). The predicate
-        # mirrors greedy_fill's infeasibility test.
-        burst_steps = _burst_mask(limits, trace.demand)
+def _route(horizon: _Horizon, demand: np.ndarray, steps: slice | np.ndarray) -> np.ndarray:
+    """Allocate float64 ``demand`` rows at horizon ``steps``.
 
-    bin_index, n_bins = _distance_bins(problem)
-
-    return _PreparedRun(
-        seen_prices=seen_prices,
-        paid_prices=paid_prices,
-        capacity_limits=capacity_limits,
-        limits=limits,
-        tracker=tracker,
-        burst_steps=burst_steps,
-        bin_index=bin_index,
-        n_bins=n_bins,
+    The one routing function every entry point shares. Each row is
+    routed under :func:`simulate_per_step`'s semantics: non-burst rows
+    in one batched call against the effective limits, and 95/5 burst
+    rows (total demand above the capped limits) either in one batched
+    call against plain capacity (strict routers) or replayed per step
+    under the original try/except contract, which any router semantics
+    (raising, clipping, ignoring limits) reproduce exactly. The
+    batched-router contract — slice ``t`` of a batch equals the scalar
+    call on step ``t`` — makes the result independent of how rows are
+    grouped into calls.
+    """
+    prices = horizon.prices[steps]
+    dtype = horizon.problem.dtype
+    route_demand = demand if dtype == np.float64 else demand.astype(dtype)
+    if horizon.burst_threshold is None:
+        return batch_allocate(horizon.router, route_demand, prices, horizon.limits)
+    burst = demand.sum(axis=1) > horizon.burst_threshold
+    if not burst.any():
+        return _route_capped(horizon, route_demand, prices)
+    out = np.empty(
+        (demand.shape[0], demand.shape[1], horizon.limits.shape[0]), dtype=route_demand.dtype
     )
+    fast = ~burst
+    if fast.any():
+        out[fast] = _route_capped(horizon, route_demand[fast], prices[fast])
+    if horizon.strict_burst:
+        # Raising on the capped limits is *guaranteed* (the burst
+        # predicate is the router's own infeasibility test), so the
+        # try/except replay collapses to one call against capacity.
+        out[burst] = batch_allocate(
+            horizon.router, route_demand[burst], prices[burst], horizon.capacity_limits
+        )
+    else:
+        out[burst] = _replay_with_retry(horizon, route_demand[burst], prices[burst])
+    return out
+
+
+class _Ledger:
+    """One demand stream's accounting over a horizon.
+
+    Realised loads, the rolling 95/5 tracker, and the chunked
+    :class:`_AllocationReducer`. :meth:`fold` accepts allocations for
+    any run of consecutive steps and segments it at the
+    :func:`batch_chunk_steps` boundaries, so however a stream is split
+    into folds — whole chunks offline, one row per ``/route`` request —
+    the reduction order, and with it every bit of the result, is the
+    same.
+    """
+
+    def __init__(self, horizon: _Horizon) -> None:
+        problem = horizon.problem
+        self.horizon = horizon
+        self.loads = np.empty((horizon.n_steps, problem.n_clusters))
+        self.tracker = (
+            Bandwidth95Tracker(horizon.caps, horizon.n_steps) if horizon.caps is not None else None
+        )
+        self.reducer = _AllocationReducer(
+            horizon.n_steps, problem.n_states, problem.n_clusters, dtype=problem.dtype
+        )
+
+    def fold(self, t0: int, allocations: np.ndarray) -> None:
+        """Account allocations for steps ``t0 .. t0 + k - 1``."""
+        k = allocations.shape[0]
+        self.loads[t0 : t0 + k] = allocations.sum(axis=1)
+        if self.tracker is not None:
+            self.tracker.record_batch(self.loads[t0 : t0 + k])
+        chunk = self.horizon.chunk_steps
+        i = 0
+        while i < k:
+            offset = (t0 + i) % chunk
+            span = min(k - i, chunk - offset)
+            self.reducer.put(slice(offset, offset + span), allocations[i : i + span])
+            end = t0 + i + span
+            if end % chunk == 0 or end == self.horizon.n_steps:
+                self.reducer.reduce_chunk(offset + span)
+            i += span
+
+    def result(self, server_counts: np.ndarray | None) -> SimulationResult:
+        """Package the completed stream into a :class:`SimulationResult`."""
+        horizon = self.horizon
+        return _finalize(
+            horizon.start,
+            horizon.step_seconds,
+            horizon.problem,
+            horizon.paid_prices,
+            self.loads,
+            self.reducer.histogram(horizon.bin_index, horizon.n_bins),
+            server_counts,
+        )
 
 
 def _finalize(
@@ -325,11 +456,10 @@ def _finalize(
     histogram: np.ndarray,
     server_counts: np.ndarray | None,
 ) -> SimulationResult:
-    """Stage-3 output: package loads and accounting into a result.
+    """Package loads and accounting into a result.
 
-    Shared by the offline pipelines and the incremental
-    :class:`~repro.sim.session.RoutingSession`, so every path packages
-    identical accounting from identical inputs.
+    Shared by the batched core and :func:`simulate_per_step`, so every
+    path packages identical accounting from identical inputs.
     """
     deployment = problem.deployment
     capacities = deployment.capacities
@@ -357,6 +487,66 @@ def _finalize(
         paid_prices=paid_prices.copy(),
         distance_histogram=histogram,
     )
+
+
+def _simulate_traces(
+    traces: tuple[TrafficTrace, ...],
+    dataset: MarketDataset,
+    problem: RoutingProblem,
+    router: Router,
+    options: SimulationOptions | None,
+    server_counts: np.ndarray | None,
+    router_prices: np.ndarray | None,
+) -> tuple[SimulationResult, ...]:
+    """The batched core behind :func:`simulate` and :func:`simulate_many`.
+
+    One horizon shared by every trace, one ledger per trace. Each chunk
+    of :func:`batch_chunk_steps` steps is routed with the traces' rows
+    fused into as few calls as the same per-call row budget allows —
+    a single trace gets exactly one call per chunk, short traces fuse
+    many replicas into one.
+    """
+    first = traces[0]
+    for tr in traces:
+        if tr.state_codes != problem.state_codes:
+            raise ConfigurationError("trace state order does not match routing problem")
+        if (
+            tr.start != first.start
+            or tr.n_steps != first.n_steps
+            or tr.step_seconds != first.step_seconds
+        ):
+            raise ConfigurationError(
+                "simulate_many traces must share start, length, and step size"
+            )
+
+    with profiling.phase("precompute"):
+        horizon = _Horizon(
+            dataset,
+            problem,
+            router,
+            options or SimulationOptions(),
+            start=first.start,
+            step_seconds=first.step_seconds,
+            n_steps=first.n_steps,
+            router_prices=router_prices,
+        )
+    ledgers = [_Ledger(horizon) for _ in traces]
+    chunk = horizon.chunk_steps
+    for lo in range(0, horizon.n_steps, chunk):
+        hi = min(lo + chunk, horizon.n_steps)
+        span = hi - lo
+        per_call = max(1, chunk // span)
+        for g in range(0, len(traces), per_call):
+            group = range(g, min(g + per_call, len(traces)))
+            demand = np.concatenate([traces[r].demand[lo:hi] for r in group])
+            with profiling.phase("routing"):
+                allocations = _route(horizon, demand, np.tile(np.arange(lo, hi), len(group)))
+            with profiling.phase("reduce"):
+                for j, r in enumerate(group):
+                    ledgers[r].fold(lo, allocations[j * span : (j + 1) * span])
+
+    with profiling.phase("finalize"):
+        return tuple(ledger.result(server_counts) for ledger in ledgers)
 
 
 def simulate(
@@ -407,180 +597,9 @@ def simulate(
         market prices, and ``reaction_delay_hours`` does not apply to
         an override (lag it yourself if the signal calls for it).
     """
-    opts = options or SimulationOptions()
-    with profiling.phase("precompute"):
-        prepared = _prepare(trace, dataset, problem, opts, router_prices)
-        route = _RouteArrays.build(problem, prepared, trace.demand)
-    n_steps = trace.n_steps
-    n_clusters = problem.n_clusters
-    chunk_steps = batch_chunk_steps(problem.n_states, n_clusters)
-
-    loads = np.empty((n_steps, n_clusters))
-    reducer = _AllocationReducer(n_steps, problem.n_states, n_clusters, dtype=problem.dtype)
-
-    strict_burst = _strict_burst(router, problem, prepared)
-
-    def route_chunk(lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Allocate one chunk's steps; returns (steps, allocations) runs."""
-        segments = []
-        chunk_burst = prepared.burst_steps[lo:hi]
-        with profiling.phase("routing"):
-            for selector, is_burst in ((~chunk_burst, False), (chunk_burst, True)):
-                steps = lo + np.flatnonzero(selector)
-                if steps.size == 0:
-                    continue
-                if is_burst:
-                    if strict_burst:
-                        # Burst steps under a strict router: raising on
-                        # the capped limits is *guaranteed* (the burst
-                        # predicate is the router's own infeasibility
-                        # test), so the try/except replay collapses to
-                        # one batched call against plain capacity.
-                        allocations = batch_allocate(
-                            router,
-                            route.demand[steps],
-                            route.prices[steps],
-                            route.capacity_limits,
-                        )
-                    else:
-                        # Steps whose total demand exceeds the summed
-                        # 95/5 caps are replayed per step under the
-                        # original contract, which any router semantics
-                        # (raising, clipping, ignoring limits)
-                        # reproduce exactly. They are at most the free
-                        # 5% of intervals, so the batch path's
-                        # throughput is untouched.
-                        allocations = _replay_with_retry(router, route, steps)
-                else:
-                    try:
-                        allocations = batch_allocate(
-                            router,
-                            route.demand[steps],
-                            route.prices[steps],
-                            route.limits,
-                        )
-                    except InfeasibleAllocationError:
-                        if prepared.tracker is None:
-                            raise
-                        # The burst predicate only anticipates
-                        # total-demand overflow; a router may still
-                        # raise on per-cluster structure (e.g. a capped
-                        # candidate set). Fall back to the per-step
-                        # contract for these steps.
-                        allocations = _replay_with_retry(router, route, steps)
-                segments.append((steps, allocations))
-        return segments
-
-    def consume(lo: int, hi: int, segments: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        with profiling.phase("reduce"):
-            for steps, allocations in segments:
-                loads[steps] = allocations.sum(axis=1)
-                reducer.put(steps - lo, allocations)
-            reducer.reduce_chunk(hi - lo)
-
-    bounds = [(lo, min(lo + chunk_steps, n_steps)) for lo in range(0, n_steps, chunk_steps)]
-    n_threads = kernels.engine_threads()
-    if n_threads > 1 and len(bounds) > 1:
-        # Chunk routing is embarrassingly parallel (steps never
-        # interact); the reduction below stays serial and in chunk
-        # order, so the float summation order — part of the
-        # bit-identity contract — is untouched. In-flight futures are
-        # bounded so peak memory stays at ~n_threads chunk tensors.
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            pending = deque()
-            it = iter(bounds)
-            for b in bounds[:n_threads]:
-                next(it)
-                pending.append((b, pool.submit(route_chunk, *b)))
-            while pending:
-                (lo, hi), fut = pending.popleft()
-                consume(lo, hi, fut.result())
-                nxt = next(it, None)
-                if nxt is not None:
-                    pending.append((nxt, pool.submit(route_chunk, *nxt)))
-    else:
-        for lo, hi in bounds:
-            consume(lo, hi, route_chunk(lo, hi))
-
-    with profiling.phase("finalize"):
-        if prepared.tracker is not None:
-            prepared.tracker.record_batch(loads)
-        histogram = reducer.histogram(prepared.bin_index, prepared.n_bins)
-        return _finalize(
-            trace.start,
-            trace.step_seconds,
-            problem,
-            prepared.paid_prices,
-            loads,
-            histogram,
-            server_counts,
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class _RouteArrays:
-    """The arrays the router actually sees, in the engine dtype.
-
-    On the default float64 path these are the prepared tensors
-    themselves (no copies); a float32 problem casts demand, prices,
-    and both limit vectors once up front so every routing call runs
-    single-precision end to end. Billing (``paid_prices``), loads, and
-    the reducer totals stay float64 either way.
-    """
-
-    demand: np.ndarray
-    prices: np.ndarray
-    limits: np.ndarray
-    capacity_limits: np.ndarray
-
-    @classmethod
-    def build(
-        cls, problem: RoutingProblem, prepared: _PreparedRun, demand: np.ndarray
-    ) -> _RouteArrays:
-        if problem.dtype == np.float64:
-            return cls(demand, prepared.seen_prices, prepared.limits, prepared.capacity_limits)
-        return cls(
-            demand.astype(problem.dtype),
-            prepared.seen_prices.astype(problem.dtype),
-            prepared.limits.astype(problem.dtype),
-            prepared.capacity_limits.astype(problem.dtype),
-        )
-
-
-def _strict_burst(router: Router, problem: RoutingProblem, prepared: _PreparedRun) -> bool:
-    """Whether burst steps may be batched instead of replayed.
-
-    Requires the router's ``strict_infeasibility`` promise *and* the
-    float64 engine: the burst predicate is float-identical to
-    greedy_fill's infeasibility test only when both run at the same
-    precision as the precompute.
-    """
-    return (
-        prepared.tracker is not None
-        and problem.dtype == np.float64
-        and bool(getattr(router, "strict_infeasibility", False))
-    )
-
-
-def _replay_with_retry(
-    router: Router,
-    route: _RouteArrays,
-    steps: np.ndarray,
-) -> np.ndarray:
-    """Reference semantics, one step at a time: capped limits first,
-    plain capacity when the router raises."""
-    n_clusters = route.capacity_limits.shape[0]
-    out = np.empty((steps.size, route.demand.shape[1], n_clusters), dtype=route.demand.dtype)
-    for i, t in enumerate(steps):
-        try:
-            out[i] = router.allocate(route.demand[t], route.prices[t], route.limits)
-        except InfeasibleAllocationError:
-            out[i] = router.allocate(
-                route.demand[t],
-                route.prices[t],
-                route.capacity_limits,
-            )
-    return out
+    return _simulate_traces(
+        (trace,), dataset, problem, router, options, server_counts, router_prices
+    )[0]
 
 
 def simulate_per_step(
@@ -599,40 +618,49 @@ def simulate_per_step(
     baseline for the engine benchmark; the two must agree on loads,
     costs, and distance histograms.
     """
-    opts = options or SimulationOptions()
-    prepared = _prepare(trace, dataset, problem, opts, router_prices)
-    route = _RouteArrays.build(problem, prepared, trace.demand)
+    if trace.state_codes != problem.state_codes:
+        raise ConfigurationError("trace state order does not match routing problem")
+    horizon = _Horizon(
+        dataset,
+        problem,
+        router,
+        options or SimulationOptions(),
+        start=trace.start,
+        step_seconds=trace.step_seconds,
+        n_steps=trace.n_steps,
+        router_prices=router_prices,
+    )
+    demand = trace.demand.astype(problem.dtype, copy=False)
     n_clusters = problem.n_clusters
-    chunk_steps = batch_chunk_steps(problem.n_states, n_clusters)
+    chunk_steps = horizon.chunk_steps
 
     reducer = _AllocationReducer(trace.n_steps, problem.n_states, n_clusters, dtype=problem.dtype)
+    tracker = None
+    if horizon.caps is not None:
+        tracker = Bandwidth95Tracker(horizon.caps, trace.n_steps)
     loads = np.empty((trace.n_steps, n_clusters))
     for t in range(trace.n_steps):
         try:
-            allocation = router.allocate(route.demand[t], route.prices[t], route.limits)
+            allocation = router.allocate(demand[t], horizon.prices[t], horizon.limits)
         except InfeasibleAllocationError:
-            if prepared.tracker is None:
+            if tracker is None:
                 raise
             # Demand cannot fit under the 95/5 caps this step: burst.
-            allocation = router.allocate(
-                route.demand[t],
-                route.prices[t],
-                route.capacity_limits,
-            )
+            allocation = router.allocate(demand[t], horizon.prices[t], horizon.capacity_limits)
         step_loads = allocation.sum(axis=0)
         loads[t] = step_loads
-        if prepared.tracker is not None:
-            prepared.tracker.record(step_loads)
+        if tracker is not None:
+            tracker.record(step_loads)
         offset = t % chunk_steps
         reducer.put(offset, allocation)
         if offset == chunk_steps - 1 or t == trace.n_steps - 1:
             reducer.reduce_chunk(offset + 1)
-    histogram = reducer.histogram(prepared.bin_index, prepared.n_bins)
+    histogram = reducer.histogram(horizon.bin_index, horizon.n_bins)
     return _finalize(
         trace.start,
         trace.step_seconds,
         problem,
-        prepared.paid_prices,
+        horizon.paid_prices,
         loads,
         histogram,
         server_counts,
@@ -660,9 +688,8 @@ def simulate_many(
       replica stacked into one ``batch_allocate`` — whenever the fused
       tensor fits the same :func:`batch_chunk_steps` memory budget a
       single-replica chunk obeys, and
-    * folds each replica's allocations through its own
-      :class:`_AllocationReducer` at the same chunk boundaries
-      :func:`simulate` uses.
+    * folds each replica's allocations through its own ledger at the
+      same chunk boundaries :func:`simulate` uses.
 
     Because a conformant ``allocate_batch`` computes each step
     independently (slice ``t`` equals the scalar ``allocate`` on step
@@ -681,140 +708,4 @@ def simulate_many(
     traces = tuple(traces)
     if not traces:
         return ()
-    opts = options or SimulationOptions()
-    first = traces[0]
-    for tr in traces[1:]:
-        if (
-            tr.start != first.start
-            or tr.n_steps != first.n_steps
-            or tr.step_seconds != first.step_seconds
-        ):
-            raise ConfigurationError(
-                "simulate_many traces must share start, length, and step size"
-            )
-        if tr.state_codes != first.state_codes:
-            raise ConfigurationError("simulate_many traces must share state order")
-
-    with profiling.phase("precompute"):
-        prepared = _prepare(first, dataset, problem, opts, None)
-        routes = [_RouteArrays.build(problem, prepared, tr.demand) for tr in traces]
-    n_replicas = len(traces)
-    n_steps = first.n_steps
-    n_states = problem.n_states
-    n_clusters = problem.n_clusters
-    chunk_steps = batch_chunk_steps(n_states, n_clusters)
-    strict_burst = _strict_burst(router, problem, prepared)
-
-    # Burst accounting is demand-driven, so it is per replica even
-    # though the caps (and the derived limits) are shared.
-    if prepared.tracker is not None:
-        trackers = [Bandwidth95Tracker(opts.bandwidth_caps, n_steps) for _ in range(n_replicas)]
-        bursts = [_burst_mask(prepared.limits, tr.demand) for tr in traces]
-    else:
-        trackers = [None] * n_replicas
-        bursts = [prepared.burst_steps] * n_replicas  # all-False, shared
-
-    loads = [np.empty((n_steps, n_clusters)) for _ in range(n_replicas)]
-    reducers = [
-        _AllocationReducer(n_steps, n_states, n_clusters, dtype=problem.dtype)
-        for _ in range(n_replicas)
-    ]
-
-    def _fast_segment(r: int, steps: np.ndarray) -> np.ndarray:
-        """One replica's non-burst steps under simulate's semantics."""
-        try:
-            return batch_allocate(
-                router,
-                routes[r].demand[steps],
-                routes[r].prices[steps],
-                routes[r].limits,
-            )
-        except InfeasibleAllocationError:
-            if trackers[r] is None:
-                raise
-            return _replay_with_retry(router, routes[r], steps)
-
-    for lo in range(0, n_steps, chunk_steps):
-        hi = min(lo + chunk_steps, n_steps)
-        segments = []  # (replica, non-burst steps) pairs for this chunk
-        for r in range(n_replicas):
-            steps = lo + np.flatnonzero(~bursts[r][lo:hi])
-            if steps.size:
-                segments.append((r, steps))
-
-        # Fuse consecutive segments into single routing calls, capped
-        # at the same per-call row budget a single-replica chunk has.
-        # Splitting or fusing calls never changes a step's allocation
-        # (steps are independent), so the grouping is free to chase
-        # throughput: short traces fuse all replicas into one call,
-        # chunk-length traces keep the single-replica call size.
-        group: list[tuple[int, np.ndarray]] = []
-        group_rows = 0
-        pending = segments + [None]  # sentinel flushes the last group
-        for item in pending:
-            if item is not None and (not group or group_rows + item[1].size <= chunk_steps):
-                group.append(item)
-                group_rows += item[1].size
-                continue
-            if group:
-                with profiling.phase("routing"):
-                    try:
-                        fused = batch_allocate(
-                            router,
-                            np.concatenate([routes[r].demand[steps] for r, steps in group]),
-                            np.concatenate([routes[0].prices[steps] for _, steps in group]),
-                            routes[0].limits,
-                        )
-                    except InfeasibleAllocationError:
-                        fused = None  # re-run the group per replica below
-                    if fused is None:
-                        parts = [_fast_segment(r, steps) for r, steps in group]
-                with profiling.phase("reduce"):
-                    offset = 0
-                    for g, (r, steps) in enumerate(group):
-                        if fused is None:
-                            allocations = parts[g]
-                        else:
-                            allocations = fused[offset : offset + steps.size]
-                        offset += steps.size
-                        loads[r][steps] = allocations.sum(axis=1)
-                        reducers[r].put(steps - lo, allocations)
-            group = [item] if item is not None else []
-            group_rows = item[1].size if item is not None else 0
-
-        for r in range(n_replicas):
-            burst_steps = lo + np.flatnonzero(bursts[r][lo:hi])
-            if burst_steps.size:
-                with profiling.phase("routing"):
-                    if strict_burst:
-                        allocations = batch_allocate(
-                            router,
-                            routes[r].demand[burst_steps],
-                            routes[r].prices[burst_steps],
-                            routes[r].capacity_limits,
-                        )
-                    else:
-                        allocations = _replay_with_retry(router, routes[r], burst_steps)
-                loads[r][burst_steps] = allocations.sum(axis=1)
-                reducers[r].put(burst_steps - lo, allocations)
-            with profiling.phase("reduce"):
-                reducers[r].reduce_chunk(hi - lo)
-
-    with profiling.phase("finalize"):
-        results = []
-        for r in range(n_replicas):
-            if trackers[r] is not None:
-                trackers[r].record_batch(loads[r])
-            histogram = reducers[r].histogram(prepared.bin_index, prepared.n_bins)
-            results.append(
-                _finalize(
-                    traces[r].start,
-                    traces[r].step_seconds,
-                    problem,
-                    prepared.paid_prices,
-                    loads[r],
-                    histogram,
-                    server_counts,
-                )
-            )
-        return tuple(results)
+    return _simulate_traces(traces, dataset, problem, router, options, server_counts, None)

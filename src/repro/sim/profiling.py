@@ -18,9 +18,7 @@ Phases nest: ``greedy_repair`` (time inside the batched greedy spill)
 is a *subset* of ``routing``, so the phase dictionary is a breakdown
 with one deliberate overlap, not a partition. ``profiled`` blocks also
 nest — every active collector sees every phase — and the collector
-list is process-global, so under threaded chunk routing
-(``REPRO_ENGINE_THREADS``) concurrent phases overlap and wall-clock
-attribution becomes approximate.
+list is process-global.
 
 :func:`profile_cases` is the engine of the ``repro bench profile`` CLI
 verb and of the benchmark's per-phase section: it runs representative
@@ -46,9 +44,7 @@ __all__ = [
 PHASES = ("precompute", "routing", "greedy_repair", "reduce", "finalize")
 
 # Active collectors, innermost last. A plain module-global list: the
-# engine is synchronous per call, and concurrent mutation from chunk
-# threads is limited to dict accumulation (GIL-atomic enough for
-# timing purposes).
+# engine is synchronous per call.
 _active: list[dict[str, float]] = []
 
 

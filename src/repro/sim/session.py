@@ -15,17 +15,16 @@ a demand sequence through a session is **bit-identical** to running
 :func:`~repro.sim.simulate` offline over a trace with the same rows.
 Concretely,
 
-* each step is routed under :func:`simulate_per_step`'s semantics
-  (capped limits first, plain capacity when a 95/5-capped step's
-  demand cannot fit — the per-step try/except contract every pipeline
-  reproduces), with micro-batches going through the router's
-  vectorised ``allocate_batch`` (whose step ``t`` slice equals the
-  scalar call bitwise, per the batched-router contract);
-* the rolling :class:`~repro.traffic.percentile.Bandwidth95Tracker`
-  accounts realised loads exactly as the offline run would; and
-* allocations fold through the engine's shared chunked
-  :class:`~repro.sim.engine._AllocationReducer` at the *same* chunk
-  boundaries, so when the horizon completes, :meth:`result` returns a
+* the session runs the offline engine's own stepping core: one
+  precomputed :class:`~repro.sim.engine._Horizon`, the shared
+  :func:`~repro.sim.engine._route` (so each step is routed under
+  :func:`simulate_per_step`'s semantics, burst steps included), and
+  one :class:`~repro.sim.engine._Ledger`;
+* the ledger's rolling
+  :class:`~repro.traffic.percentile.Bandwidth95Tracker` accounts
+  realised loads exactly as the offline run would; and
+* allocations fold through the ledger at the *same* chunk boundaries,
+  so when the horizon completes, :meth:`result` returns a
   :class:`~repro.sim.results.SimulationResult` whose loads, paid
   prices, and distance histogram match the offline run bit for bit
   (pinned by ``tests/test_sim_session.py``).
@@ -37,24 +36,14 @@ server; open one from a registered scenario with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
 
-from repro.errors import ConfigurationError, InfeasibleAllocationError
+from repro.errors import ConfigurationError
 from repro.markets.generator import MarketDataset
-from repro.routing.base import Router, RoutingProblem, batch_allocate
-from repro.sim.engine import (
-    SimulationOptions,
-    _AllocationReducer,
-    _distance_bins,
-    _finalize,
-    _hour_indices,
-    _replay_with_retry,
-    _RouteArrays,
-    batch_chunk_steps,
-)
+from repro.routing.base import Router, RoutingProblem
+from repro.sim.engine import SimulationOptions, _Horizon, _Ledger, _route
 from repro.sim.results import SimulationResult
 from repro.traffic.percentile import Bandwidth95Tracker
 
@@ -63,15 +52,6 @@ __all__ = ["RoutingSession", "SessionExhaustedError"]
 
 class SessionExhaustedError(ConfigurationError):
     """Raised when demand is fed past the session's declared horizon."""
-
-
-@dataclass(frozen=True, slots=True)
-class _Window:
-    """The trace-shaped window handed to the engine's hour mapper."""
-
-    start: datetime
-    step_seconds: int
-    n_steps: int
 
 
 class RoutingSession:
@@ -119,61 +99,18 @@ class RoutingSession:
             raise ConfigurationError("session horizon must be at least one step")
         if step_seconds < 1:
             raise ConfigurationError("step_seconds must be positive")
-        opts = options or SimulationOptions()
-        deployment = problem.deployment
-
-        window = _Window(start=start, step_seconds=step_seconds, n_steps=n_steps)
-        hour_idx = _hour_indices(window, dataset)
-        hub_columns = np.array([dataset.hub_column(code) for code in deployment.hub_codes])
-        # Prices depend only on the calendar, never on demand, so the
-        # whole horizon's price state is precomputed exactly as the
-        # offline _prepare stage would (same fancy-indexing, same bits).
-        lagged = dataset.lagged_price_matrix(opts.reaction_delay_hours)
-        self._seen_prices = lagged[hour_idx][:, hub_columns]
-        self._paid_prices = dataset.price_matrix[hour_idx][:, hub_columns]
-
-        if opts.relax_capacity:
-            capacity_limits = np.full(deployment.n_clusters, np.inf)
-        else:
-            capacity_limits = deployment.capacities * opts.capacity_margin
-
-        self._tracker: Bandwidth95Tracker | None = None
-        limits = capacity_limits
-        if opts.bandwidth_caps is not None:
-            if opts.bandwidth_caps.shape != (deployment.n_clusters,):
-                raise ConfigurationError(
-                    "bandwidth caps must have one entry per cluster, got "
-                    f"{opts.bandwidth_caps.shape[0]} for {deployment.n_clusters} clusters"
-                )
-            self._tracker = Bandwidth95Tracker(opts.bandwidth_caps, n_steps)
-            limits = np.minimum(capacity_limits, self._tracker.limits())
-
-        self._dataset = dataset
-        self._problem = problem
-        self._router = router
-        self._options = opts
-        self._start = start
-        self._step_seconds = int(step_seconds)
-        self._n_steps = int(n_steps)
-        self._server_counts = server_counts
-        self._bin_index, self._n_bins = _distance_bins(problem)
-
-        # The router sees arrays in the engine dtype; billing and the
-        # reducer totals stay float64 (the _RouteArrays split).
-        if problem.dtype == np.float64:
-            self._route_prices = self._seen_prices
-            self._limits = limits
-            self._capacity_limits = capacity_limits
-        else:
-            self._route_prices = self._seen_prices.astype(problem.dtype)
-            self._limits = limits.astype(problem.dtype)
-            self._capacity_limits = capacity_limits.astype(problem.dtype)
-
-        self._chunk_steps = batch_chunk_steps(problem.n_states, problem.n_clusters)
-        self._reducer = _AllocationReducer(
-            n_steps, problem.n_states, problem.n_clusters, dtype=problem.dtype
+        self._horizon = _Horizon(
+            dataset,
+            problem,
+            router,
+            options or SimulationOptions(),
+            start=start,
+            step_seconds=int(step_seconds),
+            n_steps=int(n_steps),
         )
-        self._loads = np.empty((n_steps, problem.n_clusters))
+        self._ledger = _Ledger(self._horizon)
+        self._problem = problem
+        self._server_counts = server_counts
         self._cursor = 0
         self._result: SimulationResult | None = None
 
@@ -182,12 +119,12 @@ class RoutingSession:
     @property
     def n_steps(self) -> int:
         """The declared horizon, in steps."""
-        return self._n_steps
+        return self._horizon.n_steps
 
     @property
     def step_seconds(self) -> int:
         """Seconds per step on the session's grid."""
-        return self._step_seconds
+        return self._horizon.step_seconds
 
     @property
     def steps_fed(self) -> int:
@@ -197,12 +134,12 @@ class RoutingSession:
     @property
     def steps_remaining(self) -> int:
         """Horizon steps not yet fed."""
-        return self._n_steps - self._cursor
+        return self._horizon.n_steps - self._cursor
 
     @property
     def exhausted(self) -> bool:
         """True once the whole horizon has been routed."""
-        return self._cursor >= self._n_steps
+        return self._cursor >= self._horizon.n_steps
 
     @property
     def cluster_labels(self) -> tuple[str, ...]:
@@ -216,7 +153,7 @@ class RoutingSession:
     @property
     def tracker(self) -> Bandwidth95Tracker | None:
         """The rolling 95/5 tracker (None when the run is unconstrained)."""
-        return self._tracker
+        return self._ledger.tracker
 
     def _check_step(self, step: int, *, end: int) -> int:
         """Validate a step index against the horizon (``[0, end]``)."""
@@ -233,16 +170,17 @@ class RoutingSession:
         ``step == n_steps`` is allowed — it is the end boundary of the
         horizon (the start of the next billing window).
         """
-        t = self._cursor if step is None else self._check_step(step, end=self._n_steps)
-        return self._start + timedelta(seconds=t * self._step_seconds)
+        h = self._horizon
+        t = self._cursor if step is None else self._check_step(step, end=h.n_steps)
+        return h.start + timedelta(seconds=t * h.step_seconds)
 
     def seen_prices(self, step: int) -> np.ndarray:
         """The (lagged) per-cluster prices the router sees at ``step``."""
-        return self._seen_prices[self._check_step(step, end=self._n_steps - 1)].copy()
+        return self._horizon.seen_prices[self._check_step(step, end=self.n_steps - 1)].copy()
 
     def paid_prices(self, step: int) -> np.ndarray:
         """The per-cluster market prices billed at ``step``."""
-        return self._paid_prices[self._check_step(step, end=self._n_steps - 1)].copy()
+        return self._horizon.paid_prices[self._check_step(step, end=self.n_steps - 1)].copy()
 
     # -- feeding ---------------------------------------------------------------
 
@@ -290,72 +228,13 @@ class RoutingSession:
         rows = self._validate_demand(demand)
         k = rows.shape[0]
         t0 = self._cursor
-        if t0 + k > self._n_steps:
+        if t0 + k > self.n_steps:
             raise SessionExhaustedError(
                 f"feeding {k} step(s) at step {t0} exceeds the session horizon "
-                f"({self._n_steps} steps)"
+                f"({self.n_steps} steps)"
             )
-
-        route_demand = rows if self._problem.dtype == np.float64 else rows.astype(
-            self._problem.dtype
-        )
-        prices = self._route_prices[t0 : t0 + k]
-        if k == 1:
-            # Scalar fast path: a single step skips the batched
-            # dispatch (shape validation, output-tensor setup) and
-            # calls the router's scalar ``allocate`` directly. The
-            # batched-router contract — slice ``t`` of a batch equals
-            # the scalar call on step ``t``, bitwise — makes the two
-            # paths interchangeable; the retry below *is* the per-step
-            # contract verbatim.
-            try:
-                allocations = self._router.allocate(
-                    route_demand[0], prices[0], self._limits
-                )[None]
-            except InfeasibleAllocationError:
-                if self._tracker is None:
-                    raise
-                allocations = self._router.allocate(
-                    route_demand[0], prices[0], self._capacity_limits
-                )[None]
-        else:
-            try:
-                allocations = batch_allocate(self._router, route_demand, prices, self._limits)
-            except InfeasibleAllocationError:
-                if self._tracker is None:
-                    raise
-                # The offline per-step contract: capped limits first, plain
-                # capacity when the router raises (a 95/5 burst step).
-                route = _RouteArrays(
-                    demand=route_demand,
-                    prices=prices,
-                    limits=self._limits,
-                    capacity_limits=self._capacity_limits,
-                )
-                allocations = _replay_with_retry(self._router, route, np.arange(k))
-
-        loads = allocations.sum(axis=1)
-        self._loads[t0 : t0 + k] = loads
-        if self._tracker is not None:
-            self._tracker.record_batch(self._loads[t0 : t0 + k])
-
-        # Fold through the shared reducer at the offline chunk
-        # boundaries (offsets are chunk-relative; a batch may span a
-        # boundary, so the fold is segmented).
-        chunk = self._chunk_steps
-        i = 0
-        while i < k:
-            t = t0 + i
-            offset = t % chunk
-            span = min(k - i, chunk - offset, self._n_steps - t)
-            self._reducer.put(
-                np.arange(offset, offset + span), allocations[i : i + span]
-            )
-            last = t + span - 1
-            if (last + 1) % chunk == 0 or last == self._n_steps - 1:
-                self._reducer.reduce_chunk((last % chunk) + 1)
-            i += span
-
+        allocations = _route(self._horizon, rows, slice(t0, t0 + k))
+        self._ledger.fold(t0, allocations)
         self._cursor = t0 + k
         return allocations
 
@@ -370,18 +249,9 @@ class RoutingSession:
         """
         if not self.exhausted:
             raise ConfigurationError(
-                f"session has routed {self._cursor}/{self._n_steps} steps; "
+                f"session has routed {self._cursor}/{self.n_steps} steps; "
                 "the result is defined over the full horizon"
             )
         if self._result is None:
-            histogram = self._reducer.histogram(self._bin_index, self._n_bins)
-            self._result = _finalize(
-                self._start,
-                self._step_seconds,
-                self._problem,
-                self._paid_prices,
-                self._loads,
-                histogram,
-                self._server_counts,
-            )
+            self._result = self._ledger.result(self._server_counts)
         return self._result

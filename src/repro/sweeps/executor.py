@@ -53,7 +53,7 @@ from repro.sweeps.planner import WorkGroup, count_groups, plan_groups
 from repro.sweeps.shards import shard_owns
 from repro.sweeps.spec import SweepPoint, SweepSpec
 
-__all__ = ["run_sweep", "group_points", "split_oversized_groups"]
+__all__ = ["run_sweep", "group_points"]
 
 #: In-flight work groups per pool worker. Bounds parent-side memory
 #: (pending futures hold at most ``jobs * OVERSUBSCRIPTION`` groups of
@@ -80,39 +80,6 @@ def group_points(points: list[SweepPoint]) -> list[list[SweepPoint]]:
         key = (point.scenario.market, point.scenario.provider)
         buckets.setdefault(key, []).append(point)
     return list(buckets.values())
-
-
-def split_oversized_groups(
-    groups: list[list[SweepPoint]],
-    jobs: int,
-    replica_block: int,
-) -> list[list[SweepPoint]]:
-    """Split buckets that would serialize a parallel run.
-
-    A sweep that never reseeds its market collapses into one bucket;
-    with ``--jobs N`` that bucket must shard or N-1 workers idle. A
-    bucket larger than the per-worker target is cut into contiguous
-    slices aligned to ``replica_block`` (the spec's replica count):
-    expansion order is cells-outer/replicas-inner, so aligned slices
-    keep every cell's seeded replicas together and the stacked
-    :func:`~repro.scenarios.runner.run_many` path stays fully fused.
-    Splitting never changes results — metrics are keyed by point index
-    and aggregated in expansion order — only how work spreads.
-    """
-    if jobs <= 1:
-        return groups
-    total = sum(len(g) for g in groups)
-    target = max(replica_block, -(-total // (jobs * OVERSUBSCRIPTION)))
-    out: list[list[SweepPoint]] = []
-    for group in groups:
-        if len(group) <= target:
-            out.append(group)
-            continue
-        n_slices = -(-len(group) // target)
-        per = -(-len(group) // n_slices)
-        per = max(replica_block, -(-per // replica_block) * replica_block)
-        out.extend(group[i : i + per] for i in range(0, len(group), per))
-    return out
 
 
 def _warm_group(group: list[tuple[int, object, object]]) -> None:

@@ -1,10 +1,9 @@
-"""Kernel selection, threaded chunk routing, and the float32 mode.
+"""Chunked stepping, the float32 mode, and the profiling harness.
 
-The engine's raw-speed knobs must never move a result: the numba
-kernels (when the optional dependency is installed) and threaded chunk
-routing are gated on *bitwise* agreement with the default serial numpy
-engine across router kinds and cap modes, and the opt-in float32 mode
-is gated on documented tolerances rather than bit-identity.
+Every entry point of the stepping core must agree *bitwise* on runs
+that span several reduction chunks, across router kinds and cap modes;
+the opt-in float32 mode is gated on documented tolerances rather than
+bit-identity.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.errors import ConfigurationError
 from repro.routing.akamai import BaselineProximityRouter
 from repro.routing.base import RoutingProblem
@@ -22,62 +20,12 @@ from repro.routing.static import StaticSingleHubRouter
 from repro.scenarios.spec import RouterSpec, Scenario
 from repro.sim import engine as engine_mod
 from repro.sim import profiling
-from repro.sim.engine import SimulationOptions, simulate
+from repro.sim.engine import SimulationOptions, simulate, simulate_many, simulate_per_step
+from repro.sim.session import RoutingSession
 from repro.traffic import akamai_like_deployment
 
 # ---------------------------------------------------------------------------
-# Environment-variable parsing
-
-
-def test_default_kernel_is_numpy(monkeypatch):
-    monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
-    assert kernels.kernel_name() == "numpy"
-    assert not kernels.use_numba()
-
-
-def test_kernel_env_parses_known_values(monkeypatch):
-    monkeypatch.setenv(kernels.KERNEL_ENV, "  NUMBA ")
-    assert kernels.kernel_name() == "numba"
-    monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
-    assert kernels.kernel_name() == "numpy"
-    monkeypatch.setenv(kernels.KERNEL_ENV, "")
-    assert kernels.kernel_name() == "numpy"
-
-
-def test_unknown_kernel_rejected(monkeypatch):
-    monkeypatch.setenv(kernels.KERNEL_ENV, "fortran")
-    with pytest.raises(ConfigurationError, match="REPRO_ENGINE_KERNEL"):
-        kernels.kernel_name()
-
-
-def test_numba_request_without_numba_falls_back(monkeypatch):
-    """Requesting numba on a box without it must serve numpy, not raise."""
-    monkeypatch.setenv(kernels.KERNEL_ENV, "numba")
-    if kernels.numba_available():
-        assert kernels.use_numba()
-    else:
-        assert not kernels.use_numba()
-    assert kernels.kernel_name() == "numba"  # the request itself is valid
-
-
-def test_threads_env_parsing(monkeypatch):
-    monkeypatch.delenv(kernels.THREADS_ENV, raising=False)
-    assert kernels.engine_threads() == 0
-    monkeypatch.setenv(kernels.THREADS_ENV, " 4 ")
-    assert kernels.engine_threads() == 4
-    monkeypatch.setenv(kernels.THREADS_ENV, "")
-    assert kernels.engine_threads() == 0
-
-
-@pytest.mark.parametrize("raw", ["two", "1.5", "-1"])
-def test_threads_env_rejects_bad_values(monkeypatch, raw):
-    monkeypatch.setenv(kernels.THREADS_ENV, raw)
-    with pytest.raises(ConfigurationError, match="REPRO_ENGINE_THREADS"):
-        kernels.engine_threads()
-
-
-# ---------------------------------------------------------------------------
-# Bitwise identity of the speed knobs
+# Bitwise identity across chunk boundaries
 
 ROUTERS = ["baseline", "price", "joint", "static"]
 
@@ -121,40 +69,36 @@ def references(short_trace, small_dataset, problem):
 
 @pytest.mark.parametrize("mode", [None, "95_5"])
 @pytest.mark.parametrize("kind", ROUTERS)
-def test_numba_kernel_bitwise_identical(
+def test_multi_chunk_entry_points_bitwise_identical(
     monkeypatch, short_trace, small_dataset, problem, references, kind, mode
 ):
-    if not kernels.numba_available():
-        pytest.skip("numba not installed; CI's perf leg exercises this")
-    monkeypatch.setenv(kernels.KERNEL_ENV, "numba")
-    options = SimulationOptions(bandwidth_caps=references[kind]["caps"]) if mode else None
-    result = simulate(short_trace, small_dataset, problem, _build_router(kind, problem), options)
-    assert _snapshot(result) == references[kind][mode]
-
-
-@pytest.mark.parametrize("mode", [None, "95_5"])
-@pytest.mark.parametrize("kind", ROUTERS)
-def test_threaded_chunks_bitwise_identical(
-    monkeypatch, short_trace, small_dataset, problem, references, kind, mode
-):
-    # Shrink chunks so the two-day trace spans several of them; the
-    # serial reference uses the *same* chunking because chunk size
-    # legitimately regroups the float reductions. Threading must then
-    # change nothing: chunks route concurrently but reduce in order.
+    # Shrink chunks so the two-day trace spans several of them; every
+    # entry point then shares the same (small) chunking, because chunk
+    # size legitimately regroups the float reductions. Offline, stacked,
+    # per-step, and a session whose feeds straddle chunk boundaries must
+    # all fold identically.
     monkeypatch.setattr(engine_mod, "BATCH_CHUNK_MIB", 0.25)
+    assert engine_mod.batch_chunk_steps(problem.n_states, problem.n_clusters) < 100
     router = _build_router(kind, problem)
     options = SimulationOptions(bandwidth_caps=references[kind]["caps"]) if mode else None
-    serial = simulate(short_trace, small_dataset, problem, router, options)
-    monkeypatch.setenv(kernels.THREADS_ENV, "3")
-    threaded = simulate(short_trace, small_dataset, problem, router, options)
-    assert _snapshot(threaded) == _snapshot(serial)
-
-
-def test_thread_count_one_stays_serial(monkeypatch, short_trace, small_dataset, problem):
-    monkeypatch.setenv(kernels.THREADS_ENV, "1")
-    router = _build_router("price", problem)
-    result = simulate(short_trace, small_dataset, problem, router)
-    assert np.isfinite(result.loads).all()
+    batched = simulate(short_trace, small_dataset, problem, router, options)
+    per_step = simulate_per_step(short_trace, small_dataset, problem, router, options)
+    stacked = simulate_many([short_trace] * 2, small_dataset, problem, router, options)
+    session = RoutingSession(
+        small_dataset,
+        problem,
+        router,
+        options,
+        start=short_trace.start,
+        step_seconds=short_trace.step_seconds,
+        n_steps=short_trace.n_steps,
+    )
+    for t in range(0, short_trace.n_steps, 7):
+        session.feed(short_trace.demand[t : t + 7])
+    for result in (per_step, *stacked, session.result()):
+        assert _snapshot(result) == _snapshot(batched)
+    # Chunking regroups only the histogram's float sums, never a load.
+    assert _snapshot(batched)[0] == references[kind][mode][0]
 
 
 # ---------------------------------------------------------------------------

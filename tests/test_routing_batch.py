@@ -67,16 +67,9 @@ def _inputs(seed: int, n_steps: int, tightness: float):
     return demand, prices, limits
 
 
-@pytest.mark.parametrize("kind", ROUTER_KINDS)
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    tightness=st.sampled_from(TIGHTNESS),
-    threshold_km=st.sampled_from((0.0, 800.0, 1500.0, 5000.0)),
-)
-@settings(max_examples=25, deadline=None)
-def test_allocate_batch_matches_per_step(kind, seed, tightness, threshold_km):
-    router = _router(kind, threshold_km)
-    demand, prices, limits = _inputs(seed, 6, tightness)
+def _assert_batch_replays_scalar(router, demand, prices, limits):
+    """``batch_allocate`` — and the router's own batch form, which it
+    skips for a single float64 step — equal the scalar calls bitwise."""
     try:
         reference = np.stack(
             [router.allocate(demand[t], prices[t], limits) for t in range(len(demand))]
@@ -85,21 +78,30 @@ def test_allocate_batch_matches_per_step(kind, seed, tightness, threshold_km):
         with pytest.raises(InfeasibleAllocationError):
             batch_allocate(router, demand, prices, limits)
         return
-    batch = batch_allocate(router, demand, prices, limits)
-    assert batch.shape == reference.shape
-    np.testing.assert_allclose(batch, reference, rtol=0.0, atol=1e-9)
+    np.testing.assert_array_equal(batch_allocate(router, demand, prices, limits), reference)
+    np.testing.assert_array_equal(router.allocate_batch(demand, prices, limits), reference)
+
+
+@pytest.mark.parametrize("kind", ROUTER_KINDS)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_steps=st.sampled_from((1, 6)),
+    tightness=st.sampled_from(TIGHTNESS),
+    threshold_km=st.sampled_from((0.0, 800.0, 1500.0, 5000.0)),
+)
+@settings(max_examples=25, deadline=None)
+def test_allocate_batch_matches_per_step(kind, seed, n_steps, tightness, threshold_km):
+    router = _router(kind, threshold_km)
+    _assert_batch_replays_scalar(router, *_inputs(seed, n_steps, tightness))
 
 
 @pytest.mark.parametrize("kind", ROUTER_KINDS)
 def test_allocate_batch_matches_per_step_big(kind):
-    """One larger deterministic batch per router (spill-heavy limits)."""
+    """One larger deterministic batch per router (spill-heavy limits),
+    plus a single step of the same inputs."""
     router = _router(kind, 1500.0)
-    demand, prices, limits = _inputs(2009, 96, 1.05)
-    reference = np.stack(
-        [router.allocate(demand[t], prices[t], limits) for t in range(len(demand))]
-    )
-    batch = batch_allocate(router, demand, prices, limits)
-    np.testing.assert_allclose(batch, reference, rtol=0.0, atol=1e-9)
+    for n_steps in (96, 1):
+        _assert_batch_replays_scalar(router, *_inputs(2009, n_steps, 1.05))
 
 
 @given(seed=st.integers(0, 2**31 - 1))

@@ -13,11 +13,8 @@ Three guarantees the executor rework must not break:
 
 from __future__ import annotations
 
-import pytest
-
 from repro import artifacts, scenarios, sweeps
 from repro.scenarios import runner
-from repro.sweeps.executor import split_oversized_groups
 from repro.sweeps.spec import expand
 
 
@@ -114,31 +111,3 @@ class TestArtifactHashPins:
             artifacts.spec_key(points[0].scenario)
             == "3c1b3932fa70958818ad73cd24827eaf514fcd977229ed0e5df6e1bbe953d5d6"
         )
-
-
-class TestBucketSplitting:
-    def _points(self, n):
-        spec = sweeps.get("joint-penalty-grid")
-        points = expand(spec)
-        assert len(points) >= n
-        return points[:n], spec.n_replicas
-
-    def test_serial_never_splits(self):
-        points, block = self._points(24)
-        groups = [points]
-        assert split_oversized_groups(groups, jobs=1, replica_block=block) == groups
-
-    def test_one_bucket_shards_across_jobs(self):
-        points, block = self._points(24)
-        split = split_oversized_groups([points], jobs=4, replica_block=block)
-        assert len(split) > 1
-        # Slices are replica-aligned so stacked groups stay whole...
-        assert all(len(g) % block == 0 for g in split[:-1])
-        # ...contiguous, order-preserving, and lossless.
-        flat = [p.index for g in split for p in g]
-        assert flat == [p.index for p in points]
-
-    def test_small_buckets_pass_through(self):
-        points, block = self._points(8)
-        groups = [points[:4], points[4:8]]
-        assert split_oversized_groups(groups, jobs=4, replica_block=block) == groups
