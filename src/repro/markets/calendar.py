@@ -3,8 +3,9 @@
 Wholesale markets clear hourly, traffic traces sample every five
 minutes, and both demand and price have strong hour-of-day /
 day-of-week / month-of-year structure. :class:`HourlyCalendar`
-precomputes those index arrays once so that every model component is a
-vectorised numpy expression.
+precomputes those index arrays once, with ``numpy.datetime64`` unit
+arithmetic (exact integer math, no per-hour ``datetime`` objects), so
+that every model component is a vectorised numpy expression.
 
 Daylight-saving time is deliberately ignored: the paper's analysis
 (EST/EDT axis labels aside) does not depend on the one-hour shifts, and
@@ -86,9 +87,6 @@ class HourlyCalendar:
 
     # -- cached index arrays ------------------------------------------------
 
-    def _datetimes(self) -> list[datetime]:
-        return [self.start + timedelta(hours=i) for i in range(self.n_hours)]
-
     @property
     def hour_of_day(self) -> np.ndarray:
         """UTC-convention hour of day (0-23) per index."""
@@ -132,20 +130,20 @@ class HourlyCalendar:
     def _decompositions(self) -> tuple[np.ndarray, ...]:
         cached = getattr(self, "_cache", None)
         if cached is None:
-            dts = self._datetimes()
-            hod = np.fromiter((d.hour for d in dts), dtype=np.int64, count=self.n_hours)
-            dow = np.fromiter((d.weekday() for d in dts), dtype=np.int64, count=self.n_hours)
-            mon = np.fromiter((d.month for d in dts), dtype=np.int64, count=self.n_hours)
-            doy = np.fromiter(
-                (d.timetuple().tm_yday for d in dts),
-                dtype=np.int64,
-                count=self.n_hours,
-            )
-            midx = np.fromiter(
-                ((d.year - self.start.year) * 12 + (d.month - self.start.month) for d in dts),
-                dtype=np.int64,
-                count=self.n_hours,
-            )
+            # Wall-clock fields of ``start``, as ``start + timedelta`` reads
+            # them even for an aware start (numpy would shift it to UTC).
+            wall = self.start.replace(tzinfo=None)
+            hours = np.datetime64(wall, "h") + np.arange(self.n_hours)
+            days = hours.astype("datetime64[D]")
+            months = hours.astype("datetime64[M]")
+            years = hours.astype("datetime64[Y]")
+            hod = (hours - days).astype(np.int64)
+            # 1970-01-01, day 0 of the epoch, was a Thursday (weekday 3).
+            dow = (days.astype(np.int64) + 3) % 7
+            month_count = months.astype(np.int64)
+            mon = month_count % 12 + 1
+            doy = (days - years.astype("datetime64[D]")).astype(np.int64) + 1
+            midx = month_count - month_count[0]
             for arr in (hod, dow, mon, doy, midx):
                 arr.setflags(write=False)
             cached = (hod, dow, mon, doy, midx)

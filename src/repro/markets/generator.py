@@ -29,12 +29,15 @@ from repro.markets.hubs import ALL_HUB_CODES, Hub, get_hub
 from repro.markets.model import (
     PRICE_FLOOR,
     PriceModelConfig,
+    _level,
     ar1_filter,
     daily_anomaly_matrix,
-    deterministic_level,
+    diurnal_multiplier,
     fuel_multiplier,
+    seasonal_multiplier,
     spike_matrix,
     volatility_matrix,
+    weekly_multiplier,
 )
 from repro.markets.series import PriceSeries
 from repro.units import MINUTES_PER_HOUR, SECONDS_PER_HOUR
@@ -212,12 +215,29 @@ def generate_market(config: MarketConfig | None = None) -> MarketDataset:
     fuel = fuel_multiplier(calendar, rng, cfg.model)
 
     # Correlated AR(1) noise: draw cross-correlated innovations, then
-    # filter each hub's column. Using one shared phi preserves the
+    # filter each hub's series. Using one shared phi preserves the
     # cross-sectional correlation of the innovations in the levels.
+    # Per-hub work below runs on hub-major (m, n) rows.
     target = build_target_matrix(hubs, cfg.correlation)
-    innovations = correlated_normals(n, target, rng)
-    volatility = volatility_matrix(calendar, hubs, rng, cfg.model)
-    noise = np.empty((n, m))
+    innovations = correlated_normals(n, target, rng).T
+    volatility = volatility_matrix(calendar, hubs, rng, cfg.model).T
+    spikes = spike_matrix(calendar, hubs, rng, cfg.model).T
+    anomalies = daily_anomaly_matrix(calendar, hubs, rng, cfg.model).T
+
+    # Calendar-only level factors, shared by every hub (the diurnal
+    # curve by every hub in one time zone).
+    seasonal = seasonal_multiplier(calendar, cfg.model)
+    weekly = weekly_multiplier(calendar, cfg.model)
+    diurnal: dict[int, np.ndarray] = {}
+    for hub in hubs:
+        if hub.utc_offset_hours not in diurnal:
+            diurnal[hub.utc_offset_hours] = diurnal_multiplier(calendar, hub, cfg.model)
+    day_ids = np.arange(n) // 24
+    n_days = int(day_ids[-1]) + 1
+    pad = (-n) % 24
+
+    real_time = np.empty((m, n))
+    day_ahead = np.empty((m, n))
     for j, hub in enumerate(hubs):
         # Stochastic volatility concentrates mass in the tails that the
         # 1% trim later removes, shrinking the *trimmed* sigma below the
@@ -226,35 +246,24 @@ def generate_market(config: MarketConfig | None = None) -> MarketDataset:
         s = cfg.model.sv_base + cfg.model.sv_spikiness_slope * hub.spikiness
         trim_shrink = max(0.50, 1.12 - 0.50 * s)
         sigma = hub.price_sigma * cfg.model.noise_sigma_fraction / trim_shrink
-        base = ar1_filter(innovations[:, j], phi=cfg.model.ar1_phi, sigma=sigma)
-        base *= volatility[:, j]
+        base = ar1_filter(innovations[j], phi=cfg.model.ar1_phi, sigma=sigma)
+        base *= volatility[j]
         beta = cfg.model.skew_beta_slope * hub.spikiness
         # The quadratic skew is capped a few sigma out: it shapes the
         # bulk's asymmetry, while genuine extremes stay the job of the
         # spike process (otherwise rare volatility tails explode).
         capped = np.minimum(np.maximum(base, 0.0), 4.0 * sigma)
-        noise[:, j] = base + beta * capped**2 / sigma
+        noise = base + beta * capped**2 / sigma
 
-    spikes = spike_matrix(calendar, hubs, rng, cfg.model)
-    anomalies = daily_anomaly_matrix(calendar, hubs, rng, cfg.model)
-    real_time = np.empty((n, m))
-    day_ahead = np.empty((n, m))
-    for j, hub in enumerate(hubs):
-        level = deterministic_level(calendar, hub, fuel, cfg.model)
-        real_time[:, j] = np.maximum(
-            PRICE_FLOOR,
-            level + noise[:, j] + anomalies[:, j] + spikes[:, j],
-        )
+        level = _level(hub, fuel, seasonal, diurnal[hub.utc_offset_hours], weekly)
+        real_time[j] = np.maximum(PRICE_FLOOR, level + noise + anomalies[j] + spikes[j])
 
         # Day-ahead: same level (with premium) + the *forecastable*
         # part of the day's realised conditions + small hourly noise.
         # Day-scale deviations (weather, fuel, outages) are largely
         # known a day ahead, which is why RT and DA window-sigmas
         # converge near the 24 h window in Fig. 5.
-        day_ids = np.arange(n) // 24
-        n_days = int(day_ids[-1]) + 1
-        rt_residual = real_time[:, j] - level
-        pad = (-rt_residual.size) % 24
+        rt_residual = real_time[j] - level
         padded = np.concatenate([rt_residual, np.zeros(pad)])
         daily_residual = padded.reshape(-1, 24).mean(axis=1)[:n_days]
         forecast = 0.85 * daily_residual[day_ids]
@@ -265,8 +274,10 @@ def generate_market(config: MarketConfig | None = None) -> MarketDataset:
         # skew and spike components lift RT above the deterministic
         # level), then apply the premium: §3.1 observes the RT market
         # clears lower on average than day-ahead.
-        uplift = float(real_time[:, j].mean()) / float(level.mean())
+        uplift = float(real_time[j].mean()) / float(level.mean())
         da_level = cfg.day_ahead_premium * uplift * level
-        day_ahead[:, j] = np.maximum(PRICE_FLOOR, da_level + anomalies[:, j] + day_shock + small)
+        day_ahead[j] = np.maximum(PRICE_FLOOR, da_level + anomalies[j] + day_shock + small)
 
-    return MarketDataset(cfg, calendar, hubs, real_time, day_ahead)
+    return MarketDataset(
+        cfg, calendar, hubs, np.ascontiguousarray(real_time.T), np.ascontiguousarray(day_ahead.T)
+    )

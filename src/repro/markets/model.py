@@ -31,6 +31,7 @@ All functions are deterministic given the calendar and an explicit
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,15 +215,30 @@ def deterministic_level(
 ) -> np.ndarray:
     """The full deterministic price level for one hub, $/MWh."""
     cfg = config or PriceModelConfig()
+    return _level(
+        hub,
+        fuel,
+        seasonal_multiplier(calendar, cfg),
+        diurnal_multiplier(calendar, hub, cfg),
+        weekly_multiplier(calendar, cfg),
+    )
+
+
+def _level(
+    hub: Hub,
+    fuel: np.ndarray,
+    seasonal: np.ndarray,
+    diurnal: np.ndarray,
+    weekly: np.ndarray,
+) -> np.ndarray:
+    """:func:`deterministic_level` from precomputed calendar factors.
+
+    Market generation shares the calendar-only factors across hubs and
+    calls this directly; the product order is the level formula's.
+    """
     coupling = RTO_INFO[hub.rto].gas_coupling
     hub_fuel = 1.0 + coupling * (fuel - 1.0)
-    return (
-        hub.mean_price
-        * hub_fuel
-        * seasonal_multiplier(calendar, cfg)
-        * diurnal_multiplier(calendar, hub, cfg)
-        * weekly_multiplier(calendar, cfg)
-    )
+    return hub.mean_price * hub_fuel * seasonal * diurnal * weekly
 
 
 def ar1_filter(innovations: np.ndarray, phi: float, sigma: float) -> np.ndarray:
@@ -239,13 +255,11 @@ def ar1_filter(innovations: np.ndarray, phi: float, sigma: float) -> np.ndarray:
     if out.size == 0:
         return out
     out[0] = innovations[0] * sigma
-    # scipy.signal.lfilter would also work; the explicit loop is kept
-    # in compiled-numpy form below for clarity and zero dependencies.
     scaled = innovations[1:] * innovation_scale
     prev = out[0]
-    # Vectorised AR(1): y[t] = phi*y[t-1] + e[t] via cumulative product
-    # trick — e / phi^t cumsum — is numerically unstable for long
-    # series, so use scipy's lfilter.
+    # y[t] = phi*y[t-1] + e[t] as a linear recursive filter. The
+    # closed form (cumulative sum of e / phi^t) is numerically unstable
+    # for long series, so this uses scipy's compiled lfilter.
     from scipy.signal import lfilter
 
     rest = lfilter([1.0], [1.0, -phi], scaled, zi=[phi * prev])[0]
@@ -274,13 +288,13 @@ def volatility_matrix(
         regional_states[rto] = ar1_filter(rng.standard_normal(n), phi=cfg.sv_phi, sigma=1.0)
     loading = cfg.sv_regional_loading
     local_loading = float(np.sqrt(max(0.0, 1.0 - loading * loading)))
-    out = np.empty((n, len(hubs)))
+    out = np.empty((len(hubs), n))
     for j, hub in enumerate(hubs):
         local = ar1_filter(rng.standard_normal(n), phi=cfg.sv_phi, sigma=1.0)
         w = loading * regional_states[hub.rto] + local_loading * local
         s = cfg.sv_base + cfg.sv_spikiness_slope * hub.spikiness
-        out[:, j] = np.exp(s * w - s * s)
-    return out
+        out[j] = np.exp(s * w - s * s)
+    return out.T
 
 
 def daily_anomaly_matrix(
@@ -302,26 +316,63 @@ def daily_anomaly_matrix(
     day_ids = np.arange(n) // 24
     levels: dict[object, np.ndarray] = {}
     for rto in sorted({h.rto for h in hubs}, key=lambda r: r.value):
-        levels[rto] = ar1_filter(rng.standard_normal(n_days), phi=cfg.daily_anomaly_phi, sigma=1.0)
-    out = np.empty((n, len(hubs)))
-    for j, hub in enumerate(hubs):
-        local = calendar.local_hour_of_day(hub.utc_offset_hours).astype(float)
+        daily = ar1_filter(rng.standard_normal(n_days), phi=cfg.daily_anomaly_phi, sigma=1.0)
+        levels[rto] = daily[day_ids]
+    peak_shapes: dict[int, np.ndarray] = {}
+    for offset in {h.utc_offset_hours for h in hubs}:
+        local = calendar.local_hour_of_day(offset).astype(float)
         phase = 2 * np.pi * (local - cfg.diurnal_peak_local_hour) / 24.0
-        peak_shape = np.clip(np.cos(phase), 0.0, None)
+        peak_shapes[offset] = np.clip(np.cos(phase), 0.0, None)
+    out = np.empty((len(hubs), n))
+    for j, hub in enumerate(hubs):
         scale = hub.price_sigma * cfg.daily_anomaly_sigma_fraction
-        out[:, j] = levels[hub.rto][day_ids] * peak_shape * scale
-    return out
+        out[j] = levels[hub.rto] * peak_shapes[hub.utc_offset_hours] * scale
+    return out.T
 
 
-def _add_decaying(out: np.ndarray, start: int, magnitude: float, decay: float) -> None:
-    """Add a geometrically decaying excursion to ``out`` in place."""
-    n = out.size
-    value = magnitude
-    t = start
-    while abs(value) > 1.0 and t < n:
-        out[t] += value
-        value *= decay
-        t += 1
+#: Most excursion terms :func:`_add_decaying` materialises at once.
+_DECAY_BLOCK_TERMS = 1 << 20
+
+
+def _add_decaying(
+    out: np.ndarray,
+    events: list[tuple[int, int, float]],
+    decay: float,
+) -> None:
+    """Add geometrically decaying excursions to rows of ``out`` in place.
+
+    Event ``(row, start, magnitude)`` adds the left fold ``magnitude,
+    magnitude*decay, ...`` (``np.multiply.accumulate``) to ``out[row]``
+    from hour ``start``, cut before its first term with ``abs <= 1`` and
+    at the end of the row. Terms are added in event order, so overlapping
+    excursions sum exactly as one scalar add per event and hour would.
+    """
+    if not events:
+        return
+    n = out.shape[1]
+    rows, starts, magnitudes = (np.array(column) for column in zip(*events))
+    keep = np.abs(magnitudes) > 1.0
+    if not keep.any():
+        return
+    rows, starts, magnitudes = rows[keep], starts[keep], magnitudes[keep]
+    span = n
+    if decay == 0.0:
+        span = 1
+    elif abs(decay) < 1.0:
+        # |terms| shrink monotonically, so at most log|m| / log(1/|decay|)
+        # + 1 of them exceed 1; one more absorbs rounding in that bound.
+        peak = float(np.abs(magnitudes).max())
+        span = min(n, int(math.log(peak) / -math.log(abs(decay))) + 2)
+    steps = np.arange(span)
+    block = max(1, _DECAY_BLOCK_TERMS // span)
+    for lo in range(0, rows.size, block):
+        factors = np.full((min(block, rows.size - lo), span), decay)
+        factors[:, 0] = magnitudes[lo : lo + block]
+        terms = np.multiply.accumulate(factors, axis=1)
+        hours = starts[lo : lo + block, None] + steps
+        live = np.logical_and.accumulate((np.abs(terms) > 1.0) & (hours < n), axis=1)
+        owners = np.broadcast_to(rows[lo : lo + block, None], live.shape)
+        np.add.at(out, (owners[live], hours[live]), terms[live])
 
 
 def spike_matrix(
@@ -341,8 +392,9 @@ def spike_matrix(
     """
     cfg = config or PriceModelConfig()
     n = calendar.n_hours
-    out = np.zeros((n, len(hubs)))
+    out = np.zeros((len(hubs), n))
 
+    events: list[tuple[int, int, float]] = []
     by_rto: dict[object, list[int]] = {}
     for j, hub in enumerate(hubs):
         by_rto.setdefault(hub.rto, []).append(j)
@@ -359,13 +411,13 @@ def spike_matrix(
             magnitude = float(magnitudes[event])
             if regional[event]:
                 jitters = rng.uniform(0.7, 1.3, size=len(columns))
-                for jitter, j in zip(jitters, columns):
+                for jitter, j in zip(jitters.tolist(), columns):
                     scaled = min(cfg.spike_max, magnitude * hubs[j].spikiness * jitter)
-                    _add_decaying(out[:, j], start, scaled, cfg.spike_decay)
+                    events.append((j, start, scaled))
             else:
                 j = columns[int(rng.integers(0, len(columns)))]
                 scaled = min(cfg.spike_max, magnitude * hubs[j].spikiness)
-                _add_decaying(out[:, j], start, scaled, cfg.spike_decay)
+                events.append((j, start, scaled))
 
         # Negative dips: local, rare, deep enough to cross zero.
         n_negative = rng.poisson(cfg.negative_rate_per_kh / 1000.0 * n * len(columns))
@@ -373,8 +425,9 @@ def spike_matrix(
             j = columns[int(rng.integers(0, len(columns)))]
             start = int(rng.integers(0, n))
             depth = hubs[j].mean_price * (1.0 + rng.pareto(2.5))
-            _add_decaying(out[:, j], start, -float(depth), cfg.spike_decay)
-    return out
+            events.append((j, start, -float(depth)))
+    _add_decaying(out, events, cfg.spike_decay)
+    return out.T
 
 
 def spike_series(

@@ -192,7 +192,13 @@ class RoutingServer:
                 headers: dict[str, str] = {}
                 must_close = False
                 try:
-                    method, path, headers = _parse_head(head)
+                    method, path, version, headers = _parse_head(head)
+                    if "transfer-encoding" in headers:
+                        # A chunked body is still on the socket; reading
+                        # it as the next request would desync framing.
+                        raise _HttpError(
+                            501, "Transfer-Encoding is not supported", close=True
+                        )
                     body = b""
                     length = _parse_content_length(
                         headers.get("content-length", "0"), self.config.max_body_bytes
@@ -208,10 +214,7 @@ class RoutingServer:
                         payload["retry_after_s"] = retry_after
                 else:
                     retry_after = None
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower() != "close"
-                    and not must_close
-                )
+                keep_alive = _wants_keep_alive(version, headers) and not must_close
                 await self._respond(
                     writer, status, payload, keep_alive=keep_alive, retry_after=retry_after
                 )
@@ -244,6 +247,7 @@ class RoutingServer:
             429: "Too Many Requests",
             431: "Request Header Fields Too Large",
             500: "Internal Server Error",
+            501: "Not Implemented",
             503: "Service Unavailable",
         }
         # Retry-After must be a whole number of seconds on the wire
@@ -424,10 +428,10 @@ def _parse_content_length(raw: str, max_body_bytes: int) -> int:
     return length
 
 
-def _parse_head(head: bytes) -> tuple[str, str, dict[str, str]]:
+def _parse_head(head: bytes) -> tuple[str, str, str, dict[str, str]]:
     try:
         lines = head.decode("latin-1").split("\r\n")
-        method, path, _version = lines[0].split(" ", 2)
+        method, path, version = lines[0].split(" ", 2)
     except (UnicodeDecodeError, ValueError) as exc:
         raise _HttpError(400, "malformed request line") from exc
     headers: dict[str, str] = {}
@@ -436,4 +440,17 @@ def _parse_head(head: bytes) -> tuple[str, str, dict[str, str]]:
             continue
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
-    return method, path, headers
+    return method, path, version, headers
+
+
+def _wants_keep_alive(version: str, headers: dict[str, str]) -> bool:
+    """Whether the client asked to reuse the connection (RFC 9112 §9.3).
+
+    HTTP/1.1 connections persist unless the client sends ``Connection:
+    close``; HTTP/1.0 ones close unless it sends ``Connection:
+    keep-alive``.
+    """
+    tokens = {token.strip().lower() for token in headers.get("connection", "").split(",")}
+    if "close" in tokens:
+        return False
+    return version != "HTTP/1.0" or "keep-alive" in tokens

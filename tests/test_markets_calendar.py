@@ -1,9 +1,11 @@
 """Tests for repro.markets.calendar."""
 
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.markets.calendar import (
@@ -122,3 +124,39 @@ class TestHourlyCalendar:
     def test_arrays_read_only(self, calendar):
         with pytest.raises(ValueError):
             calendar.hour_of_day[0] = 5
+
+
+@st.composite
+def _calendars(draw):
+    """Hour-aligned starts in 1990-2040 spanning up to 40 months."""
+    start = draw(
+        st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2040, 12, 31, 23))
+    ).replace(minute=0, second=0, microsecond=0)
+    months = draw(st.integers(1, 40))
+    return HourlyCalendar(start, draw(st.integers(1, month_range_hours(start, months))))
+
+
+class TestDecompositionsMatchDatetime:
+    """The datetime64 decompositions equal a per-hour ``datetime`` walk."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_calendars())
+    @example(HourlyCalendar(datetime(2008, 2, 28, 22), 72))  # across a leap day
+    @example(HourlyCalendar(datetime(2039, 12, 31, 20), 10))  # across a year wrap
+    @example(HourlyCalendar(datetime(1999, 12, 31, 23), 40 * 31 * 24))  # Y2K + a leap year
+    def test_matches_datetime_reference(self, calendar):
+        start = calendar.start
+        stamps = [start + timedelta(hours=i) for i in range(calendar.n_hours)]
+        expected = {
+            "hour_of_day": [d.hour for d in stamps],
+            "day_of_week": [d.weekday() for d in stamps],
+            "month": [d.month for d in stamps],
+            "day_of_year": [d.timetuple().tm_yday for d in stamps],
+            "month_index": [
+                (d.year - start.year) * 12 + (d.month - start.month) for d in stamps
+            ],
+        }
+        for name, values in expected.items():
+            got = getattr(calendar, name)
+            assert got.dtype == np.int64, name
+            np.testing.assert_array_equal(got, np.array(values), err_msg=name)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import ConfigurationError, UnknownHubError
 from repro.markets.generator import MarketConfig, generate_market
-from repro.markets.model import PRICE_FLOOR
+from repro.markets.model import PRICE_FLOOR, deterministic_level, fuel_multiplier
 
 
 @pytest.fixture(scope="module")
@@ -29,11 +29,36 @@ class TestConfig:
             MarketConfig(hub_codes=())
 
 
+def test_levels_equal_deterministic_level_bitwise(monkeypatch):
+    """Shared calendar factors leave every hub's level bit-identical."""
+    import repro.markets.generator as generator
+
+    levels = []
+
+    def record(hub, fuel, *factors):
+        level = level_of(hub, fuel, *factors)
+        levels.append((hub, level))
+        return level
+
+    level_of = generator._level
+    monkeypatch.setattr(generator, "_level", record)
+    cfg = MarketConfig(start=datetime(2008, 11, 1), months=2, seed=7)
+    dataset = generate_market(cfg)
+    fuel = fuel_multiplier(dataset.calendar, np.random.default_rng(cfg.seed), cfg.model)
+    assert [hub.code for hub, _ in levels] == list(cfg.hub_codes)
+    assert len({hub.utc_offset_hours for hub, _ in levels}) > 1
+    for hub, level in levels:
+        expected = deterministic_level(dataset.calendar, hub, fuel, cfg.model)
+        np.testing.assert_array_equal(level, expected, err_msg=hub.code)
+
+
 class TestDataset:
     def test_shapes(self, dataset):
         n_hours = dataset.calendar.n_hours
         assert dataset.price_matrix.shape == (n_hours, 29)
         assert dataset.day_ahead_matrix.shape == (n_hours, 29)
+        assert dataset.price_matrix.flags.c_contiguous
+        assert dataset.day_ahead_matrix.flags.c_contiguous
 
     def test_matrices_read_only(self, dataset):
         with pytest.raises(ValueError):

@@ -4,11 +4,14 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.markets.calendar import HourlyCalendar
 from repro.markets.hubs import get_hub
 from repro.markets.model import (
     PriceModelConfig,
+    _add_decaying,
     ar1_filter,
     deterministic_level,
     diurnal_multiplier,
@@ -179,3 +182,88 @@ class TestSpikes:
         rng = np.random.default_rng(14)
         spikes = spike_series(calendar, get_hub("CHI"), rng, cfg)
         assert spikes.min() < 0.0
+
+
+def _add_decaying_scalar(out, start, magnitude, decay):
+    """Reference: the per-hour loop that :func:`_add_decaying` replaced."""
+    n = out.size
+    value = magnitude
+    t = start
+    while abs(value) > 1.0 and t < n:
+        out[t] += value
+        value *= decay
+        t += 1
+
+
+_EVENTS = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.integers(0, 45),
+        st.floats(-1e4, 1e4, allow_nan=False) | st.sampled_from([1.0, -1.0, 0.5]),
+    ),
+    max_size=40,
+)
+_DECAYS = st.sampled_from([0.0, 0.45, -0.45, 0.9, 1.0, -1.0, 1.1]) | st.floats(-1.2, 1.2)
+
+
+class TestDecayingExcursions:
+    """The vectorised decay is bitwise the scalar left fold, event by event."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=_EVENTS, decay=_DECAYS)
+    def test_matches_scalar_loop(self, events, decay):
+        expected = np.zeros((3, 40))
+        for row, start, magnitude in events:
+            _add_decaying_scalar(expected[row], start, magnitude, decay)
+        got = np.zeros((3, 40))
+        _add_decaying(got, events, decay)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_overlapping_events_sum_in_event_order(self):
+        # Float addition is not associative: three excursions landing on
+        # one hour must be added in event order to match the scalar loop.
+        events = [(0, 0, 1e16), (0, 0, -1e16), (0, 0, 3.0)]
+        expected = np.zeros((1, 4))
+        for row, start, magnitude in events:
+            _add_decaying_scalar(expected[row], start, magnitude, 0.45)
+        got = np.zeros((1, 4))
+        _add_decaying(got, events, 0.45)
+        assert got[0, 0] == expected[0, 0] == 3.0  # reversed, (3 - 1e16) + 1e16 is 4
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("decay", [0.45, 1.0])
+    def test_blocked_batches_match_scalar_loop(self, decay, monkeypatch):
+        # Excursions are materialised in bounded blocks; a block edge
+        # must not change the result.
+        monkeypatch.setattr("repro.markets.model._DECAY_BLOCK_TERMS", 64)
+        rng = np.random.default_rng(3)
+        events = [
+            (int(row), int(start), float(magnitude))
+            for row, start, magnitude in zip(
+                rng.integers(0, 2, 50), rng.integers(0, 40, 50), rng.normal(0.0, 300.0, 50)
+            )
+        ]
+        expected = np.zeros((2, 40))
+        for row, start, magnitude in events:
+            _add_decaying_scalar(expected[row], start, magnitude, decay)
+        got = np.zeros((2, 40))
+        _add_decaying(got, events, decay)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_default_spike_matrix_matches_scalar_loop(self, calendar, monkeypatch):
+        # Replay spike_matrix's event draws through the reference loop.
+        recorded = []
+
+        def record(out, events, decay):
+            recorded.append((out.shape, list(events), decay))
+            _add_decaying(out, events, decay)
+
+        monkeypatch.setattr("repro.markets.model._add_decaying", record)
+        hubs = [get_hub("NP15"), get_hub("SP15"), get_hub("CHI")]
+        spikes = spike_matrix(calendar, hubs, np.random.default_rng(21))
+        ((shape, events, decay),) = recorded
+        expected = np.zeros(shape)
+        for row, start, magnitude in events:
+            _add_decaying_scalar(expected[row], start, magnitude, decay)
+        assert len(events) > 100
+        np.testing.assert_array_equal(spikes, expected.T)

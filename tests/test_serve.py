@@ -363,6 +363,61 @@ def test_request_body_size_is_bounded():
         assert "Connection: close" in results[key]
 
 
+async def _read_to_eof(port: int, payload: bytes) -> bytes:
+    """Send ``payload`` on one connection; return all bytes until the server closes."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(payload)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), timeout=5.0)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+
+
+def test_chunked_body_is_refused_without_desyncing_framing():
+    """A chunked POST gets one 501 and a close; its chunks never parse as a request."""
+    chunked = (
+        b"POST /route HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"4\r\n[1]\n\r\n0\r\n\r\n"
+    )
+    pipelined = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    async def drive(server):
+        return await _read_to_eof(server.port, chunked + pipelined)
+
+    raw = _with_server(2, drive).decode()
+    assert raw.startswith("HTTP/1.1 501 Not Implemented\r\n")
+    assert "Connection: close" in raw
+    assert raw.count("HTTP/1.1 ") == 1  # EOF after the 501: no second response
+
+
+def test_http10_request_closes_by_default():
+    async def drive(server):
+        return await _read_to_eof(server.port, b"GET /healthz HTTP/1.0\r\n\r\n")
+
+    raw = _with_server(2, drive).decode()
+    assert raw.startswith("HTTP/1.1 200 ")
+    assert "Connection: close" in raw
+    assert raw.count("HTTP/1.1 ") == 1
+
+
+def test_http10_request_with_keep_alive_persists():
+    request = b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+    closing = b"GET /healthz HTTP/1.0\r\n\r\n"
+
+    async def drive(server):
+        return await _read_to_eof(server.port, request + closing)
+
+    raw = _with_server(2, drive).decode()
+    first, second = raw.split("HTTP/1.1 ")[1:]
+    assert first.startswith("200 ") and "Connection: keep-alive" in first
+    assert second.startswith("200 ") and "Connection: close" in second
+
+
 def test_server_serves_rolling_session_across_window_boundaries():
     """A rolling-horizon server keeps routing past a billing window."""
     n = 10
