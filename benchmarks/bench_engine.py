@@ -258,40 +258,6 @@ def bench_profile(days: int) -> dict:
     return {"days": days, "cases": report}
 
 
-def bench_float32(trace, dataset, problem, router, options, repeats: int) -> dict:
-    """The opt-in float32 engine mode: speed and accuracy vs float64.
-
-    Float32 trades the bit-identity contract for cheaper memory
-    traffic; the record keeps both the speed ratio and the realised
-    error so the documented tolerance stays an observed number.
-    """
-    problem32 = RoutingProblem(akamai_like_deployment(), dtype="float32")
-    router32 = JointOptimizationRouter(
-        problem32, distance_penalty_per_1000km=10.0, congestion_penalty=50.0
-    )
-    r64 = simulate(trace, dataset, problem, router, options)
-    r32 = simulate(trace, dataset, problem32, router32, options)
-    cost64 = float((r64.loads * r64.paid_prices).sum())
-    cost32 = float((r32.loads * r32.paid_prices).sum())
-    cost_rel_err = abs(cost32 - cost64) / abs(cost64)
-    max_load_rel_err = float(np.max(np.abs(r32.loads - r64.loads)) / np.max(r64.loads))
-    t64 = _time(lambda: simulate(trace, dataset, problem, router, options), repeats)
-    t32 = _time(lambda: simulate(trace, dataset, problem32, router32, options), repeats)
-    section = {
-        "case": "joint_followed_95_5",
-        "float64_seconds": round(t64, 4),
-        "float32_seconds": round(t32, 4),
-        "speedup_vs_float64": round(t64 / t32, 3),
-        "cost_rel_err": cost_rel_err,
-        "max_load_rel_err": max_load_rel_err,
-    }
-    print(
-        f"{'float32:joint_followed_95_5':38s} {t32:7.3f}s  vs f64 {t64 / t32:5.2f}x  "
-        f"cost rel err {cost_rel_err:.2e}  max load rel err {max_load_rel_err:.2e}"
-    )
-    return section
-
-
 def bench_serve_section(quick: bool) -> dict:
     """Serving QPS/latency through the asyncio server (bench_serve.py)."""
     import sys
@@ -370,14 +336,6 @@ def bench(days: int, repeats: int) -> dict:
         },
         "runs": runs,
         "profile": bench_profile(min(days, 60)),
-        "float32": bench_float32(
-            trace,
-            dataset,
-            problem,
-            joint_router,
-            SimulationOptions(bandwidth_caps=caps),
-            repeats,
-        ),
         "provider": bench_provider(repeats),
         "sweep": bench_sweep(jobs=2),
         "campaign": bench_campaign(),

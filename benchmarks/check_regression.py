@@ -47,12 +47,6 @@ COMMITTED_SPEEDUP_FLOORS = {
     "joint_followed_95_5": 6.0,
 }
 
-#: Float32 is opt-in and tolerance-based, not bit-identical; these are
-#: generous ceilings over the observed errors (~1e-9 aggregate cost,
-#: ~5e-7 per-step loads) so real precision regressions still trip.
-MAX_FLOAT32_COST_REL_ERR = 1e-6
-MAX_FLOAT32_LOAD_REL_ERR = 1e-4
-
 #: The streaming campaign path re-walks the expansion and folds every
 #: metric through a reducer instead of one dict insert; that must stay
 #: within noise of the eager path on a simulation-free 10^4-point run.
@@ -114,32 +108,6 @@ def check_profile(fresh: dict) -> list[str]:
             failures.append(f"profile section for {case} lacks phases: {', '.join(missing)}")
         if total <= 0.0:
             failures.append(f"profile section for {case} recorded a non-positive total")
-    return failures
-
-
-def check_float32(fresh: dict) -> list[str]:
-    """Gates on the fresh record's float32 engine-mode section."""
-    section = fresh.get("float32")
-    if section is None:
-        return []  # records from before the float32 mode
-    failures = []
-    cost_err = float(section.get("cost_rel_err", 0.0))
-    load_err = float(section.get("max_load_rel_err", 0.0))
-    ok = cost_err <= MAX_FLOAT32_COST_REL_ERR and load_err <= MAX_FLOAT32_LOAD_REL_ERR
-    print(
-        f"{'float32_mode':24s} cost rel err {cost_err:9.2e}  "
-        f"load rel err {load_err:9.2e}  {'ok' if ok else 'FAIL'}"
-    )
-    if cost_err > MAX_FLOAT32_COST_REL_ERR:
-        failures.append(
-            f"float32 total-cost relative error {cost_err:.2e} exceeds "
-            f"{MAX_FLOAT32_COST_REL_ERR:.0e}"
-        )
-    if load_err > MAX_FLOAT32_LOAD_REL_ERR:
-        failures.append(
-            f"float32 per-step load relative error {load_err:.2e} exceeds "
-            f"{MAX_FLOAT32_LOAD_REL_ERR:.0e}"
-        )
     return failures
 
 
@@ -372,7 +340,6 @@ def check(baseline: dict, fresh: dict, max_regression: float) -> list[str]:
         + check_sweep(fresh)
         + check_campaign(fresh)
         + check_profile(fresh)
-        + check_float32(fresh)
         + check_serve(baseline, fresh)
     )
     base_runs = baseline.get("runs", {})

@@ -779,13 +779,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.rolling_window is not None:
             _activate_store(args)
             store = artifacts.get_store()
-            ckpt_spec = SessionCheckpointSpec(
-                scenario=args.scenario, window_steps=args.rolling_window
-            )
 
         try:
             scenario = scenarios.get(args.scenario)
             if args.rolling_window is not None:
+                ckpt_spec = SessionCheckpointSpec(
+                    scenario=scenarios.physical(scenario), window_steps=args.rolling_window
+                )
                 banked = resume_results(store, ckpt_spec, resume=args.resume)
                 session = scenarios.open_rolling_session(
                     scenario,

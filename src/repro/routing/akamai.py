@@ -27,7 +27,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.routing.base import (
     RoutingProblem,
-    _engine_float,
     fallback_rest_table,
     greedy_fill,
     greedy_fill_batch,
@@ -128,7 +127,7 @@ class BaselineProximityRouter:
         spill then runs once over the whole batch.
         """
         del prices
-        demand = _engine_float(np.asarray(demand))
+        demand = np.asarray(demand, dtype=float)
         n_steps = demand.shape[0]
         capacities = self._problem.deployment.capacities
         limits = np.asarray(limits, dtype=float)

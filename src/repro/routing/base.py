@@ -11,15 +11,6 @@ form over a whole run of steps; :func:`batch_allocate` dispatches to it
 when present and otherwise falls back to sequential per-step
 ``allocate`` calls, so the simulation engine can always hand routers
 maximal runs of steps at once.
-
-Floating-point dtype: the engine runs in float64 by default, and every
-bitwise contract in the repository is pinned there. A
-:class:`RoutingProblem` built with ``dtype="float32"`` opts a run into
-the reduced-precision engine mode — inputs stay float32 through the
-routing kernels (half the memory traffic) and results carry a
-documented tolerance instead of bit-identity. The helpers here
-*preserve* float32 inputs rather than forcing float64, and promote
-everything else to float64 as before.
 """
 
 from __future__ import annotations
@@ -43,26 +34,6 @@ __all__ = [
     "deployment_distance_table",
 ]
 
-#: Engine dtypes a routing problem may run under.
-ENGINE_DTYPES = ("float64", "float32")
-
-
-def _engine_float(values: np.ndarray) -> np.ndarray:
-    """``asarray`` that preserves float32 and promotes the rest to float64.
-
-    The float64 behaviour is exactly the old ``np.asarray(x,
-    dtype=float)`` coercion; float32 arrays — the opt-in engine mode —
-    pass through untouched so the batched kernels run at single
-    precision end to end.
-    """
-    arr = np.asarray(values)
-    if arr.dtype == np.float32:
-        return arr
-    if arr.dtype == np.float64:
-        return arr
-    return arr.astype(np.float64)
-
-
 def _profiling():
     # Imported lazily: repro.sim.engine imports this module, so a
     # module-level import of repro.sim.profiling would be circular on
@@ -80,42 +51,20 @@ def deployment_distance_table(deployment: ClusterDeployment) -> DistanceTable:
 class RoutingProblem:
     """Static context shared by all routers for one simulation.
 
-    Bundles the deployment, the distance table (states x clusters), the
-    state ordering, and the engine dtype so routers can precompute
-    whatever they need at the right precision.
-
-    Parameters
-    ----------
-    deployment / distances:
-        The cluster roster and the state-to-cluster distance table.
-    dtype:
-        ``"float64"`` (default — the bit-identical engine) or
-        ``"float32"`` (the opt-in reduced-precision mode). Routers
-        build their precomputed score/distance tables in this dtype,
-        and the engine casts demand, prices, and limits to it before
-        routing.
+    Bundles the deployment, the distance table (states x clusters), and
+    the state ordering so routers can precompute whatever they need.
     """
 
     def __init__(
         self,
         deployment: ClusterDeployment,
         distances: DistanceTable | None = None,
-        dtype: str = "float64",
     ) -> None:
-        if str(dtype) not in ENGINE_DTYPES:
-            raise ConfigurationError(
-                f"unknown engine dtype {dtype!r}; expected one of {ENGINE_DTYPES}"
-            )
         self.deployment = deployment
         self.distances = distances or deployment_distance_table(deployment)
         if self.distances.n_sites != deployment.n_clusters:
             raise ConfigurationError("distance table columns must match deployment clusters")
         self.state_codes = tuple(s.code for s in self.distances.states)
-        self.dtype = np.dtype(str(dtype))
-        #: Deployment capacities in the engine dtype (routers divide by
-        #: these in scoring; a float64 copy would silently promote every
-        #: float32 intermediate back to double).
-        self.capacities = deployment.capacities.astype(self.dtype)
 
     @property
     def n_states(self) -> int:
@@ -189,26 +138,24 @@ def batch_allocate(
     step order (preserving per-step semantics for any router that only
     implements the scalar protocol).
 
-    A single float64 step also takes the shim: the batched-router
-    contract makes the scalar ``allocate`` bitwise equal to the batch
-    form there, and it skips the batch form's fixed per-call cost — the
-    common case of a ``/route`` request fed alone. Float32 always takes
-    the batch form, so a float32 step is routed the same way whatever
-    batch it arrives in.
+    A single step also takes the shim: the batched-router contract
+    makes the scalar ``allocate`` bitwise equal to the batch form, and
+    it skips the batch form's fixed per-call cost — the common case of
+    a ``/route`` request fed alone.
     """
-    demand = _engine_float(demand)
+    demand = np.asarray(demand, dtype=float)
     if demand.ndim != 2:
         raise ConfigurationError(f"batch demand must be 2-D, got shape {demand.shape}")
     batch = getattr(router, "allocate_batch", None)
-    if batch is not None and (demand.shape[0] != 1 or demand.dtype != np.float64):
+    if batch is not None and demand.shape[0] != 1:
         return batch(demand, prices, limits)
     n_steps = demand.shape[0]
-    prices = _engine_float(prices)
+    prices = np.asarray(prices, dtype=float)
     if prices.ndim != 2 or prices.shape[0] != n_steps:
         raise ConfigurationError(
             f"batch prices must be ({n_steps}, n_clusters), got shape {prices.shape}"
         )
-    limits = _engine_float(limits)
+    limits = np.asarray(limits, dtype=float)
     if limits.ndim not in (1, 2) or (limits.ndim == 2 and limits.shape[0] != n_steps):
         raise ConfigurationError(
             f"batch limits must be (n_clusters,) or ({n_steps}, n_clusters), "
@@ -219,7 +166,7 @@ def batch_allocate(
     # row — no (T, C) broadcast materialisation, and the shape checks
     # above run before the output tensor is allocated.
     shared_row = limits if limits.ndim == 1 else None
-    allocations = np.empty((n_steps, demand.shape[1], n_clusters), dtype=demand.dtype)
+    allocations = np.empty((n_steps, demand.shape[1], n_clusters))
     for t in range(n_steps):
         row = shared_row if shared_row is not None else limits[t]
         allocations[t] = router.allocate(demand[t], prices[t], row)
@@ -299,8 +246,8 @@ def greedy_fill(
         )
 
     demand = np.asarray(demand)
-    allocation = np.zeros((n_states, n_clusters), dtype=_engine_float(demand).dtype)
-    headroom = _engine_float(limits).copy()
+    allocation = np.zeros((n_states, n_clusters))
+    headroom = np.array(limits, dtype=float)
     order = state_order if state_order is not None else np.argsort(-demand)
 
     for s in order:
@@ -423,12 +370,12 @@ def greedy_fill_batch(
     InfeasibleAllocationError
         If any step's total demand exceeds its summed limits.
     """
-    demand = _engine_float(demand)
+    demand = np.asarray(demand, dtype=float)
     n_steps, n_states = demand.shape
     prefs = np.asarray(preference_orders)
-    limits = np.asarray(limits, dtype=demand.dtype)
+    limits = np.asarray(limits, dtype=float)
     n_clusters = limits.shape[-1]
-    headroom = np.array(np.broadcast_to(limits, (n_steps, n_clusters)), dtype=demand.dtype)
+    headroom = np.array(np.broadcast_to(limits, (n_steps, n_clusters)))
 
     finite = np.isfinite(headroom)
     totals = demand.sum(axis=1)
@@ -465,7 +412,7 @@ def _greedy_fill_batch_numpy(
     n_steps, n_states = demand.shape
     n_clusters = headroom.shape[1]
     if out is None:
-        allocation = np.zeros((n_steps, n_states, n_clusters), dtype=demand.dtype)
+        allocation = np.zeros((n_steps, n_states, n_clusters))
         row_ids = None
         flat_span = allocation.size
     else:
@@ -503,11 +450,11 @@ def _greedy_fill_batch_numpy(
     i_p = np.empty(n_steps, dtype=ixt)
     i_h = np.empty(n_steps, dtype=ixt)
     i_a = np.empty(n_steps, dtype=ixt)
-    f_h = np.empty(n_steps, dtype=demand.dtype)
-    f_t = np.empty(n_steps, dtype=demand.dtype)
+    f_h = np.empty(n_steps)
+    f_t = np.empty(n_steps)
     s_pbase = np.empty(n_steps, dtype=ixt)
     s_abase = np.empty(n_steps, dtype=ixt)
-    s_rem = np.empty(n_steps, dtype=demand.dtype)
+    s_rem = np.empty(n_steps)
     s_idx = np.empty(n_steps, dtype=ixt)
 
     for rank in range(n_states):

@@ -26,7 +26,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.routing.base import (
     RoutingProblem,
-    _engine_float,
     fallback_rest_table,
     greedy_fill,
     greedy_fill_batch,
@@ -73,12 +72,7 @@ class JointOptimizationRouter:
         self.congestion_penalty = congestion_penalty
         self.distance_threshold_km = distance_threshold_km
         distances = problem.distances.matrix
-        # Precomputed in the problem's engine dtype: on float64 this is
-        # a bitwise no-op; on float32 it keeps the (T, S, C) score
-        # tensors single-precision end to end.
-        self._distance_cost = (distance_penalty_per_1000km * distances / 1000.0).astype(
-            problem.dtype
-        )
+        self._distance_cost = distance_penalty_per_1000km * distances / 1000.0
         if distance_threshold_km is not None:
             allowed = distances <= distance_threshold_km
             # Metro fallback as in the price router: never strand a state.
@@ -177,12 +171,12 @@ class JointOptimizationRouter:
         tensor (``out=``/``out_rows``) instead of materialising a
         spill-sized tensor and copying it in.
         """
-        demand = _engine_float(np.asarray(demand))
-        prices = np.asarray(prices, dtype=demand.dtype)
+        demand = np.asarray(demand, dtype=float)
+        prices = np.asarray(prices, dtype=float)
         n_steps = demand.shape[0]
         n_states = self._problem.n_states
         n_clusters = self._problem.n_clusters
-        limits = np.asarray(limits, dtype=demand.dtype)
+        limits = np.asarray(limits, dtype=float)
         step_limits = np.broadcast_to(limits, (n_steps, n_clusters))
 
         capacities = self._problem.deployment.capacities
@@ -204,10 +198,9 @@ class JointOptimizationRouter:
         utilization = loads / capacities[None, :]
 
         # Pass 2: congestion refreshed with the realised loads. The
-        # add lands in a reusable scratch tensor (out= also keeps a
-        # float32 run single-precision instead of promoting).
+        # spill re-score below reuses this tensor as scratch.
         congestion = self.congestion_penalty * np.square(utilization)
-        scratch = np.add(base, congestion[:, None, :], out=np.empty_like(base))
+        scratch = base + congestion[:, None, :]
         if self._has_forbidden:
             scores = np.where(self._forbidden[None, :, :], np.inf, scratch)
         else:
@@ -220,7 +213,7 @@ class JointOptimizationRouter:
         utilization = loads / capacities[None, :]
 
         fits = np.all(loads <= step_limits + 1e-9, axis=1)
-        allocation = np.zeros((n_steps, n_states, n_clusters), dtype=demand.dtype)
+        allocation = np.zeros((n_steps, n_states, n_clusters))
         fast = np.flatnonzero(fits)
         allocation[fast[:, None], np.arange(n_states)[None, :], preferred[fast]] = demand[fast]
         spill = np.flatnonzero(~fits)

@@ -28,7 +28,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.routing.base import (
     RoutingProblem,
-    _engine_float,
     fallback_rest_table,
     greedy_fill,
     greedy_fill_batch,
@@ -81,9 +80,7 @@ class PriceConsciousRouter:
         self._mask = np.zeros_like(distances, dtype=bool)
         for s, cands in enumerate(self._candidates):
             self._mask[s, cands] = True
-        # Engine-dtype copy: a bitwise no-op on float64, and what
-        # keeps the per-step choice tensors single-precision on float32.
-        self._masked_distance = np.where(self._mask, distances, np.inf).astype(problem.dtype)
+        self._masked_distance = np.where(self._mask, distances, np.inf)
         self._candidate_counts = np.array([c.size for c in self._candidates])
         # Scalar-path fallback tables: the spill pass can only draw
         # from each state's non-candidate clusters, whose set is fixed
@@ -152,11 +149,11 @@ class PriceConsciousRouter:
         choice would overflow a limit drop back to the scalar greedy
         spill, so each step's slice equals ``allocate`` on that step.
         """
-        demand = _engine_float(np.asarray(demand))
-        prices = np.asarray(prices, dtype=demand.dtype)
+        demand = np.asarray(demand, dtype=float)
+        prices = np.asarray(prices, dtype=float)
         n_steps = demand.shape[0]
         n_states, n_clusters = self._mask.shape
-        limits = np.asarray(limits, dtype=demand.dtype)
+        limits = np.asarray(limits, dtype=float)
         step_limits = np.broadcast_to(limits, (n_steps, n_clusters))
 
         masked_prices = np.where(self._mask[None, :, :], prices[:, None, :], np.inf)
@@ -173,7 +170,7 @@ class PriceConsciousRouter:
         ).reshape(n_steps, n_clusters)
         fits = np.all(loads <= step_limits + 1e-9, axis=1)
 
-        allocation = np.zeros((n_steps, n_states, n_clusters), dtype=demand.dtype)
+        allocation = np.zeros((n_steps, n_states, n_clusters))
         fast = np.flatnonzero(fits)
         allocation[fast[:, None], np.arange(n_states)[None, :], preferred[fast]] = demand[fast]
         spill = np.flatnonzero(~fits)

@@ -37,6 +37,7 @@ from repro.scenarios.runner import (
     dataset,
     open_rolling_session,
     open_session,
+    physical,
     problem,
     provider_override,
     run,
@@ -63,6 +64,7 @@ __all__ = [
     "dataset",
     "open_rolling_session",
     "open_session",
+    "physical",
     "problem",
     "provider_override",
     "run",

@@ -59,6 +59,7 @@ __all__ = [
     "clear_caches",
     "provider_override",
     "active_provider",
+    "physical",
 ]
 
 
@@ -98,6 +99,17 @@ def _resolve(scenario: Scenario) -> Scenario:
     return scenario
 
 
+def physical(scenario: Scenario) -> Scenario:
+    """The run a scenario names: override resolved, name stripped.
+
+    Two specs that describe the same physical run map to the same
+    value whatever they are called, and the same registry entry maps
+    to different values under different provider overrides. Memo,
+    artifact and serving-checkpoint keys all use it.
+    """
+    return _resolve(scenario).derive(name="", description="")
+
+
 def dataset(market: MarketSpec, provider: ProviderSpec | None = None) -> MarketDataset:
     """The market data set a spec describes (memoised per spec).
 
@@ -119,15 +131,10 @@ def _dataset_cached(market: MarketSpec, provider: ProviderSpec) -> MarketDataset
     return materialise_dataset(market, provider)
 
 
-@lru_cache(maxsize=2)
-def problem(dtype: str = "float64") -> RoutingProblem:
-    """The shared Akamai-like nine-cluster routing problem.
-
-    One cached instance per engine dtype: the float64 default every
-    bitwise contract pins, and the opt-in float32 problem a scenario
-    with ``engine_dtype="float32"`` runs under.
-    """
-    return RoutingProblem(akamai_like_deployment(), dtype=dtype)
+@lru_cache(maxsize=1)
+def problem() -> RoutingProblem:
+    """The shared Akamai-like nine-cluster routing problem."""
+    return RoutingProblem(akamai_like_deployment())
 
 
 @lru_cache(maxsize=32)
@@ -168,7 +175,7 @@ def build_router(scenario: Scenario) -> Router:
     """
     kind = scenario.router.kind
     kwargs = scenario.router.kwargs
-    prob = problem(scenario.engine_dtype)
+    prob = problem()
     if kind == "baseline":
         return BaselineProximityRouter(prob, **kwargs)
     if kind in ("price", "weather"):
@@ -260,7 +267,7 @@ def run(scenario: Scenario) -> SimulationResult:
     95th percentiles; ``relocate_fleet`` scenarios account energy with
     the whole fleet's servers at the router's target cluster.
     """
-    return _run_cached(_resolve(scenario).derive(name="", description=""))
+    return _run_cached(physical(scenario))
 
 
 # Results computed by the stacked multi-replica path (run_many),
@@ -290,67 +297,18 @@ def _run_cached(scenario: Scenario) -> SimulationResult:
     return result
 
 
-def _execute(scenario: Scenario) -> SimulationResult:
-    data = dataset(scenario.market, scenario.provider)
-    prob = problem(scenario.engine_dtype)
-    run_trace = trace(scenario.trace, scenario.market)
-
-    caps = None
-    if scenario.follow_95_5:
-        caps = baseline_result(
-            scenario.market, scenario.trace, scenario.provider
-        ).percentiles_95()
-
-    options = SimulationOptions(
-        reaction_delay_hours=scenario.reaction_delay_hours,
-        capacity_margin=scenario.capacity_margin,
-        relax_capacity=scenario.relax_capacity,
-        bandwidth_caps=caps,
-    )
-
-    server_counts = None
-    if scenario.relocate_fleet:
-        if scenario.router.kind == "static-cheapest":
-            target = _static_cheapest_index(scenario)
-        elif scenario.router.kind == "static":
-            target = int(scenario.router.kwargs["cluster_index"])
-        else:
-            raise ConfigurationError("relocate_fleet requires a static router kind")
-        deployment = prob.deployment
-        counts = np.zeros(deployment.n_clusters)
-        counts[target] = sum(c.n_servers for c in deployment.clusters)
-        server_counts = counts
-
-    router = build_router(scenario)
-    return simulate(
-        run_trace,
-        data,
-        prob,
-        router,
-        options,
-        server_counts=server_counts,
-        router_prices=_signal_rows(scenario),
-    )
-
-
-def _session_ingredients(
+def _engine_inputs(
     scenario: Scenario,
 ) -> tuple[MarketDataset, RoutingProblem, SimulationOptions, np.ndarray | None]:
-    """The shared online-session ingredients of a *resolved* scenario.
+    """The engine inputs of a *resolved* scenario, bar trace and router.
 
     Dataset, problem, engine options (including the memoised
     baseline's 95/5 caps for ``follow_95_5`` scenarios), and relocated
-    server counts — everything :func:`run` would assemble except the
-    trace. Signal-driven router kinds (``carbon``, ``weather``) replay
-    per-trace price overrides and have no online form.
+    server counts. The offline run, the stacked replica pass and both
+    session openers assemble their inputs here.
     """
-    if scenario.router.kind in ("carbon", "weather"):
-        raise ConfigurationError(
-            f"router kind {scenario.router.kind!r} routes on a per-trace signal "
-            "override and cannot serve an incremental session"
-        )
     data = dataset(scenario.market, scenario.provider)
-    prob = problem(scenario.engine_dtype)
+    prob = problem()
 
     caps = None
     if scenario.follow_95_5:
@@ -380,6 +338,29 @@ def _session_ingredients(
     return data, prob, options, server_counts
 
 
+def _execute(scenario: Scenario) -> SimulationResult:
+    data, prob, options, server_counts = _engine_inputs(scenario)
+    return simulate(
+        trace(scenario.trace, scenario.market),
+        data,
+        prob,
+        build_router(scenario),
+        options,
+        server_counts=server_counts,
+        router_prices=_signal_rows(scenario),
+    )
+
+
+def _refuse_signal_kinds(scenario: Scenario) -> None:
+    """Signal-driven router kinds (``carbon``, ``weather``) replay
+    per-trace price overrides and have no online form."""
+    if scenario.router.kind in ("carbon", "weather"):
+        raise ConfigurationError(
+            f"router kind {scenario.router.kind!r} routes on a per-trace signal "
+            "override and cannot serve an incremental session"
+        )
+
+
 def open_session(scenario: Scenario, n_steps: int | None = None) -> RoutingSession:
     """Open an incremental :class:`~repro.sim.session.RoutingSession`.
 
@@ -399,7 +380,8 @@ def open_session(scenario: Scenario, n_steps: int | None = None) -> RoutingSessi
     per-trace price overrides and have no online form.
     """
     scenario = _resolve(scenario)
-    data, prob, options, server_counts = _session_ingredients(scenario)
+    _refuse_signal_kinds(scenario)
+    data, prob, options, server_counts = _engine_inputs(scenario)
     grid = trace(scenario.trace, scenario.market)
     horizon = grid.n_steps if n_steps is None else int(n_steps)
     if not 1 <= horizon <= grid.n_steps:
@@ -453,7 +435,8 @@ def open_rolling_session(
     scenario = _resolve(scenario)
     if window_steps < 1:
         raise ConfigurationError("window_steps must be at least one step")
-    data, prob, options, server_counts = _session_ingredients(scenario)
+    _refuse_signal_kinds(scenario)
+    data, prob, options, server_counts = _engine_inputs(scenario)
     grid = trace(scenario.trace, scenario.market)
 
     calendar = data.calendar
@@ -544,16 +527,9 @@ def _stackable(scenario: Scenario) -> bool:
 def _execute_stacked(group: list[Scenario]) -> None:
     """Run one stack group through :func:`simulate_many`, park results."""
     first = group[0]
-    data = dataset(first.market, first.provider)
-    prob = problem(first.engine_dtype)
+    data, prob, options, server_counts = _engine_inputs(first)
     traces = [trace(s.trace, s.market) for s in group]
-    options = SimulationOptions(
-        reaction_delay_hours=first.reaction_delay_hours,
-        capacity_margin=first.capacity_margin,
-        relax_capacity=first.relax_capacity,
-    )
-    router = build_router(first)
-    results = simulate_many(traces, data, prob, router, options)
+    results = simulate_many(traces, data, prob, build_router(first), options, server_counts)
     for scenario, result in zip(group, results):
         _stacked_results[scenario] = result
 
@@ -572,12 +548,12 @@ def run_many(specs: Iterable[Scenario]) -> tuple[SimulationResult, ...]:
     the stacked engine is pinned to :func:`simulate` — so memo entries
     and published artifacts do not depend on which path ran.
     """
-    physical = [_resolve(s).derive(name="", description="") for s in specs]
+    runs = [physical(s) for s in specs]
 
     store = artifacts.get_store()
     use_store = store is not None and not artifacts.refresh_mode()
     pending: list[Scenario] = []
-    for scenario in dict.fromkeys(physical):
+    for scenario in dict.fromkeys(runs):
         if scenario in _memo_keys or scenario in _stacked_results:
             continue
         if use_store and store.path_for(artifacts.KIND_SIMULATION, scenario).exists():
@@ -592,7 +568,7 @@ def run_many(specs: Iterable[Scenario]) -> tuple[SimulationResult, ...]:
         if len(group) >= 2:
             _execute_stacked(group)
 
-    return tuple(run(scenario) for scenario in physical)
+    return tuple(run(scenario) for scenario in runs)
 
 
 def clear_caches() -> None:

@@ -149,12 +149,6 @@ class Scenario:
         Account energy as if the whole fleet's servers sat at the
         router's single target cluster (the §6.3 static consolidation;
         only meaningful with the static router kinds).
-    engine_dtype:
-        ``"float64"`` (default) or ``"float32"`` — the engine precision
-        the run opts into. Float32 runs trade the bit-identity
-        contract for speed and carry a documented tolerance on
-        aggregates. Omitted from the artifact content address while it
-        holds the default, so pre-dtype scenarios keep their hashes.
     """
 
     name: str
@@ -171,14 +165,6 @@ class Scenario:
     relax_capacity: bool = False
     follow_95_5: bool = False
     relocate_fleet: bool = False
-    engine_dtype: str = field(default="float64", metadata={OMIT_DEFAULT: True})
-
-    def __post_init__(self) -> None:
-        if self.engine_dtype not in ("float64", "float32"):
-            raise ConfigurationError(
-                f"unknown engine_dtype {self.engine_dtype!r}; "
-                "expected 'float64' or 'float32'"
-            )
 
     def derive(self, **changes: Any) -> "Scenario":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""

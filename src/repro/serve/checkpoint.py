@@ -11,12 +11,12 @@ what an uninterrupted run would have served (steps past the boundary
 are simply re-fed live).
 
 Checkpoints live in the content-addressed artifact store under the
-``sessions`` kind, keyed by :class:`SessionCheckpointSpec` — scenario,
-window size, shard — so shards of one deployment checkpoint
-independently and a resumed server can only ever pick up a checkpoint
-written by its own configuration. Saving is atomic (the store's
-write-then-rename) and idempotent: each save rewrites the full banked
-history, so a chain that restarts repeatedly keeps one record.
+``sessions`` kind, keyed by :class:`SessionCheckpointSpec` — the
+physical scenario, window size, shard — so shards of one deployment
+checkpoint independently and a resumed server can only ever pick up a
+checkpoint written by its own configuration. Saving is atomic (the
+store's write-then-rename) and idempotent: each save rewrites the full
+banked history, so a chain that restarts repeatedly keeps one record.
 
 ``repro serve --resume`` wires this in at both ends: SIGTERM drains
 the server then calls :func:`save_checkpoint`; startup with
@@ -31,6 +31,7 @@ from pathlib import Path
 
 from repro.artifacts.codec import decode_simulation_result, encode_simulation_result
 from repro.artifacts.store import KIND_SESSION, ArtifactStore
+from repro.scenarios.spec import Scenario
 from repro.sim.results import SimulationResult
 from repro.sim.rolling import RollingSession
 
@@ -48,10 +49,12 @@ class SessionCheckpointSpec:
 
     Two servers share a checkpoint exactly when they would serve the
     same chain: same scenario, same window size, same shard of the
-    same shard count. Anything else must miss.
+    same shard count. Anything else must miss. ``scenario`` is the
+    :func:`~repro.scenarios.physical` spec, not a registry name, so a
+    provider override or a redefined registry entry misses too.
     """
 
-    scenario: str
+    scenario: Scenario
     window_steps: int
     shard_index: int = 0
     n_shards: int = 1

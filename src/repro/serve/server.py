@@ -204,7 +204,10 @@ class RoutingServer:
                         headers.get("content-length", "0"), self.config.max_body_bytes
                     )
                     if length:
-                        body = await reader.readexactly(length)
+                        try:
+                            body = await reader.readexactly(length)
+                        except asyncio.IncompleteReadError:
+                            return  # hung up mid-body: EOF, as mid-head
                     status, payload = await self._dispatch(method, path, body)
                 except _HttpError as exc:
                     status, payload = exc.status, {"error": exc.message}

@@ -519,12 +519,6 @@ async def _worker_serve(scenario_name: str, shard: int, options: dict) -> None:
     if options.get("store_dir") and (options.get("checkpoint") or options.get("resume")):
         artifacts.configure(options["store_dir"])
         store = artifacts.get_store()
-        ckpt_spec = SessionCheckpointSpec(
-            scenario=scenario_name,
-            window_steps=int(options["rolling_window"]),
-            shard_index=shard,
-            n_shards=int(options["n_shards"]),
-        )
 
     spec = None
     if options.get("provider"):
@@ -533,6 +527,13 @@ async def _worker_serve(scenario_name: str, shard: int, options: dict) -> None:
         spec = preset(options["provider"]).spec
     with provider_override(spec):
         scenario = scenarios.get(scenario_name)
+        if store is not None:
+            ckpt_spec = SessionCheckpointSpec(
+                scenario=scenarios.physical(scenario),
+                window_steps=int(options["rolling_window"]),
+                shard_index=shard,
+                n_shards=int(options["n_shards"]),
+            )
         if options["rolling_window"] is not None:
             banked = (
                 resume_results(store, ckpt_spec, resume=bool(options.get("resume")))

@@ -124,19 +124,11 @@ class _AllocationReducer:
     at chunk boundaries — which makes the distance histograms of
     :func:`simulate` and :func:`simulate_per_step` agree *bit for bit*,
     not merely to rounding tolerance.
-
-    The chunk buffer holds allocations in the engine dtype (so a
-    float32 run never materialises float64 copies of its chunks) while
-    the running totals always accumulate in float64 —
-    ``sum(axis=0, dtype=np.float64)`` is the identical operation on the
-    default float64 path and the accuracy-preserving one on float32.
     """
 
-    def __init__(
-        self, n_steps: int, n_states: int, n_clusters: int, dtype: np.dtype | type = np.float64
-    ) -> None:
+    def __init__(self, n_steps: int, n_states: int, n_clusters: int) -> None:
         self._chunk = min(n_steps, batch_chunk_steps(n_states, n_clusters))
-        self._buffer = np.zeros((self._chunk, n_states, n_clusters), dtype=dtype)
+        self._buffer = np.zeros((self._chunk, n_states, n_clusters))
         self.total = np.zeros((n_states, n_clusters))
 
     def put(self, offsets: slice | int, allocations: np.ndarray) -> None:
@@ -145,7 +137,7 @@ class _AllocationReducer:
 
     def reduce_chunk(self, size: int) -> None:
         """Fold the first ``size`` buffered steps into the totals."""
-        self.total += self._buffer[:size].sum(axis=0, dtype=np.float64)
+        self.total += self._buffer[:size].sum(axis=0)
 
     def histogram(self, bin_index: np.ndarray, n_bins: int) -> np.ndarray:
         """The demand-weighted distance histogram of the whole run."""
@@ -236,11 +228,9 @@ class _Horizon:
 
     Prices never depend on demand, so the seen/paid price tensors for
     every step of the grid, the effective limits, and the 95/5 burst
-    threshold are derived once. The arrays the router sees
-    (``prices``, ``limits``, ``capacity_limits``) are in the engine
-    dtype — the prepared tensors themselves on the default float64
-    path, one up-front cast on float32 — while billing
-    (``paid_prices``) stays float64.
+    threshold are derived once. The router sees ``prices`` (lagged,
+    or the caller's override), ``limits`` and ``capacity_limits``;
+    billing uses ``paid_prices``.
     """
 
     def __init__(
@@ -274,7 +264,7 @@ class _Horizon:
         else:
             lagged = dataset.lagged_price_matrix(opts.reaction_delay_hours)
             seen_prices = lagged[hour_idx][:, hub_columns]
-        self.seen_prices = seen_prices
+        self.prices = seen_prices
         self.paid_prices = dataset.price_matrix[hour_idx][:, hub_columns]
 
         if opts.relax_capacity:
@@ -306,21 +296,12 @@ class _Horizon:
 
         # Burst steps may be batched against plain capacity instead of
         # replayed only under the router's ``strict_infeasibility``
-        # promise *and* the float64 engine: the burst predicate is
-        # float-identical to greedy_fill's infeasibility test only when
-        # both run at the precision of the precompute.
-        self.strict_burst = (
-            self.caps is not None
-            and problem.dtype == np.float64
-            and bool(getattr(router, "strict_infeasibility", False))
+        # promise: the burst predicate is then float-identical to the
+        # router's own infeasibility test.
+        self.strict_burst = self.caps is not None and bool(
+            getattr(router, "strict_infeasibility", False)
         )
-
-        if problem.dtype == np.float64:
-            self.prices, self.limits, self.capacity_limits = seen_prices, limits, capacity_limits
-        else:
-            self.prices = seen_prices.astype(problem.dtype)
-            self.limits = limits.astype(problem.dtype)
-            self.capacity_limits = capacity_limits.astype(problem.dtype)
+        self.limits, self.capacity_limits = limits, capacity_limits
         self.bin_index, self.n_bins = _distance_bins(problem)
         self.chunk_steps = batch_chunk_steps(problem.n_states, problem.n_clusters)
 
@@ -331,7 +312,7 @@ def _replay_with_retry(
     """Reference semantics, one step at a time: capped limits first,
     plain capacity when the router raises."""
     router = horizon.router
-    out = np.empty((demand.shape[0], demand.shape[1], horizon.limits.shape[0]), dtype=demand.dtype)
+    out = np.empty((demand.shape[0], demand.shape[1], horizon.limits.shape[0]))
     for i in range(demand.shape[0]):
         try:
             out[i] = router.allocate(demand[i], prices[i], horizon.limits)
@@ -354,7 +335,7 @@ def _route_capped(horizon: _Horizon, demand: np.ndarray, prices: np.ndarray) -> 
 
 
 def _route(horizon: _Horizon, demand: np.ndarray, steps: slice | np.ndarray) -> np.ndarray:
-    """Allocate float64 ``demand`` rows at horizon ``steps``.
+    """Allocate ``demand`` rows at horizon ``steps``.
 
     The one routing function every entry point shares. Each row is
     routed under :func:`simulate_per_step`'s semantics: non-burst rows
@@ -368,28 +349,24 @@ def _route(horizon: _Horizon, demand: np.ndarray, steps: slice | np.ndarray) -> 
     grouped into calls.
     """
     prices = horizon.prices[steps]
-    dtype = horizon.problem.dtype
-    route_demand = demand if dtype == np.float64 else demand.astype(dtype)
     if horizon.burst_threshold is None:
-        return batch_allocate(horizon.router, route_demand, prices, horizon.limits)
+        return batch_allocate(horizon.router, demand, prices, horizon.limits)
     burst = demand.sum(axis=1) > horizon.burst_threshold
     if not burst.any():
-        return _route_capped(horizon, route_demand, prices)
-    out = np.empty(
-        (demand.shape[0], demand.shape[1], horizon.limits.shape[0]), dtype=route_demand.dtype
-    )
+        return _route_capped(horizon, demand, prices)
+    out = np.empty((demand.shape[0], demand.shape[1], horizon.limits.shape[0]))
     fast = ~burst
     if fast.any():
-        out[fast] = _route_capped(horizon, route_demand[fast], prices[fast])
+        out[fast] = _route_capped(horizon, demand[fast], prices[fast])
     if horizon.strict_burst:
         # Raising on the capped limits is *guaranteed* (the burst
         # predicate is the router's own infeasibility test), so the
         # try/except replay collapses to one call against capacity.
         out[burst] = batch_allocate(
-            horizon.router, route_demand[burst], prices[burst], horizon.capacity_limits
+            horizon.router, demand[burst], prices[burst], horizon.capacity_limits
         )
     else:
-        out[burst] = _replay_with_retry(horizon, route_demand[burst], prices[burst])
+        out[burst] = _replay_with_retry(horizon, demand[burst], prices[burst])
     return out
 
 
@@ -412,9 +389,7 @@ class _Ledger:
         self.tracker = (
             Bandwidth95Tracker(horizon.caps, horizon.n_steps) if horizon.caps is not None else None
         )
-        self.reducer = _AllocationReducer(
-            horizon.n_steps, problem.n_states, problem.n_clusters, dtype=problem.dtype
-        )
+        self.reducer = _AllocationReducer(horizon.n_steps, problem.n_states, problem.n_clusters)
 
     def fold(self, t0: int, allocations: np.ndarray) -> None:
         """Account allocations for steps ``t0 .. t0 + k - 1``."""
@@ -630,11 +605,11 @@ def simulate_per_step(
         n_steps=trace.n_steps,
         router_prices=router_prices,
     )
-    demand = trace.demand.astype(problem.dtype, copy=False)
+    demand = trace.demand
     n_clusters = problem.n_clusters
     chunk_steps = horizon.chunk_steps
 
-    reducer = _AllocationReducer(trace.n_steps, problem.n_states, n_clusters, dtype=problem.dtype)
+    reducer = _AllocationReducer(trace.n_steps, problem.n_states, n_clusters)
     tracker = None
     if horizon.caps is not None:
         tracker = Bandwidth95Tracker(horizon.caps, trace.n_steps)

@@ -63,8 +63,7 @@ class RoutingSession:
         Market prices; every cluster's hub must be present. Typically
         materialised by a :class:`~repro.markets.providers.PriceProvider`.
     problem:
-        Deployment + distances shared across routers (and the engine
-        dtype the session runs under).
+        Deployment + distances shared across routers.
     router:
         The allocation policy serving this session.
     options:
@@ -176,7 +175,7 @@ class RoutingSession:
 
     def seen_prices(self, step: int) -> np.ndarray:
         """The (lagged) per-cluster prices the router sees at ``step``."""
-        return self._horizon.seen_prices[self._check_step(step, end=self.n_steps - 1)].copy()
+        return self._horizon.prices[self._check_step(step, end=self.n_steps - 1)].copy()
 
     def paid_prices(self, step: int) -> np.ndarray:
         """The per-cluster market prices billed at ``step``."""

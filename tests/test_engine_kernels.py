@@ -1,28 +1,21 @@
-"""Chunked stepping, the float32 mode, and the profiling harness.
+"""Chunked stepping and the profiling harness.
 
 Every entry point of the stepping core must agree *bitwise* on runs
-that span several reduction chunks, across router kinds and cap modes;
-the opt-in float32 mode is gated on documented tolerances rather than
-bit-identity.
+that span several reduction chunks, across router kinds and cap modes.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.routing.akamai import BaselineProximityRouter
-from repro.routing.base import RoutingProblem
 from repro.routing.joint import JointOptimizationRouter
 from repro.routing.price import PriceConsciousRouter
 from repro.routing.static import StaticSingleHubRouter
-from repro.scenarios.spec import RouterSpec, Scenario
 from repro.sim import engine as engine_mod
 from repro.sim import profiling
 from repro.sim.engine import SimulationOptions, simulate, simulate_many, simulate_per_step
 from repro.sim.session import RoutingSession
-from repro.traffic import akamai_like_deployment
 
 # ---------------------------------------------------------------------------
 # Bitwise identity across chunk boundaries
@@ -99,74 +92,6 @@ def test_multi_chunk_entry_points_bitwise_identical(
         assert _snapshot(result) == _snapshot(batched)
     # Chunking regroups only the histogram's float sums, never a load.
     assert _snapshot(batched)[0] == references[kind][mode][0]
-
-
-# ---------------------------------------------------------------------------
-# Float32 engine mode
-
-
-def test_problem_rejects_unknown_dtype():
-    with pytest.raises(ConfigurationError, match="dtype"):
-        RoutingProblem(akamai_like_deployment(), dtype="float16")
-
-
-def test_float32_problem_exposes_engine_dtype(problem):
-    p32 = RoutingProblem(akamai_like_deployment(), dtype="float32")
-    assert p32.dtype == np.float32
-    assert p32.capacities.dtype == np.float32
-    assert problem.dtype == np.float64
-    # The float64 capacities view must be bitwise the deployment's.
-    assert problem.capacities.tobytes() == problem.deployment.capacities.tobytes()
-
-
-@pytest.mark.parametrize("kind", ["baseline", "price", "joint"])
-def test_float32_mode_within_tolerance(short_trace, small_dataset, problem, kind):
-    """Float32 runs end to end and lands within documented tolerances."""
-    p32 = RoutingProblem(akamai_like_deployment(), dtype="float32")
-    r64 = simulate(short_trace, small_dataset, problem, _build_router(kind, problem))
-    r32 = simulate(short_trace, small_dataset, p32, _build_router(kind, p32))
-    scale = float(np.max(r64.loads))
-    assert float(np.max(np.abs(r32.loads - r64.loads))) / scale < 1e-4
-    cost64 = float((r64.loads * r64.paid_prices).sum())
-    cost32 = float((r32.loads * r32.paid_prices).sum())
-    assert abs(cost32 - cost64) / abs(cost64) < 1e-6
-    # Demand conservation holds exactly in aggregate terms.
-    np.testing.assert_allclose(
-        r32.loads.sum(axis=1), r64.loads.sum(axis=1), rtol=1e-5, atol=1e-6
-    )
-
-
-def test_float32_with_caps(short_trace, small_dataset, problem):
-    p32 = RoutingProblem(akamai_like_deployment(), dtype="float32")
-    r64 = simulate(short_trace, small_dataset, problem, JointOptimizationRouter(problem))
-    caps = r64.percentiles_95() * 0.9
-    opts = SimulationOptions(bandwidth_caps=caps)
-    capped64 = simulate(
-        short_trace, small_dataset, problem, JointOptimizationRouter(problem), opts
-    )
-    capped32 = simulate(short_trace, small_dataset, p32, JointOptimizationRouter(p32), opts)
-    scale = float(np.max(capped64.loads))
-    assert float(np.max(np.abs(capped32.loads - capped64.loads))) / scale < 1e-4
-
-
-def test_scenario_engine_dtype_validation():
-    with pytest.raises(ConfigurationError, match="engine_dtype"):
-        Scenario(name="bad", engine_dtype="float16")
-
-
-def test_scenario_engine_dtype_default_omitted_from_canonical():
-    """The default keeps pre-existing artifact hashes byte-identical."""
-    from repro.artifacts.codec import canonical, spec_key
-
-    default = Scenario(name="s", router=RouterSpec.of("price", distance_threshold_km=1500.0))
-    explicit = Scenario(
-        name="s",
-        router=RouterSpec.of("price", distance_threshold_km=1500.0),
-        engine_dtype="float32",
-    )
-    assert "engine_dtype" not in canonical(default)
-    assert "engine_dtype" in canonical(explicit)
-    assert spec_key(default) != spec_key(explicit)
 
 
 # ---------------------------------------------------------------------------

@@ -395,6 +395,30 @@ def test_chunked_body_is_refused_without_desyncing_framing():
     assert raw.count("HTTP/1.1 ") == 1  # EOF after the 501: no second response
 
 
+def test_client_hanging_up_mid_body_closes_quietly():
+    """A body cut short by the peer is EOF: no unhandled handler error."""
+    truncated = b"POST /route HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n[1, 2"
+
+    async def drive(server):
+        loop = asyncio.get_running_loop()
+        seen = []
+        loop.set_exception_handler(lambda _loop, context: seen.append(context))
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        writer.write(truncated)
+        await writer.drain()
+        writer.write_eof()
+        leftover = await asyncio.wait_for(reader.read(), timeout=5.0)
+        writer.close()
+        await asyncio.sleep(0.05)  # let the handler task's done-callback run
+        health = await _read_to_eof(server.port, b"GET /healthz HTTP/1.0\r\n\r\n")
+        return leftover, seen, health
+
+    leftover, seen, health = _with_server(2, drive)
+    assert leftover == b""
+    assert seen == []
+    assert health.decode().startswith("HTTP/1.1 200 ")
+
+
 def test_http10_request_closes_by_default():
     async def drive(server):
         return await _read_to_eof(server.port, b"GET /healthz HTTP/1.0\r\n\r\n")

@@ -261,3 +261,30 @@ def test_cli_sigterm_checkpoint_then_resume_is_bit_identical(tmp_path):
             np.asarray(body["allocation"]["matrix"]),
             control_allocations[body["step"]],
         )
+
+
+def test_cli_resume_under_another_provider_starts_fresh(tmp_path):
+    """A checkpoint banked on one provider's prices must not resume another's.
+
+    The first life serves the default (synthetic) prices and banks one
+    window; the second asks for ``--provider spiky-markets --resume``
+    against the same store and must start from step 0.
+    """
+    rows = _rows(WINDOW + 1)
+    proc, port, _ = _spawn_serve(tmp_path)
+    try:
+        asyncio.run(_route_all(port, rows))
+    except BaseException:
+        proc.kill()
+        raise
+    assert "checkpointed 1 window(s)" in _terminate(proc)
+
+    proc, port, banner = _spawn_serve(tmp_path, "--provider", "spiky-markets", "--resume")
+    try:
+        bodies = asyncio.run(_route_all(port, rows[:1]))
+    except BaseException:
+        proc.kill()
+        raise
+    _terminate(proc)
+    assert "resumed from checkpoint" not in banner
+    assert bodies[0]["step"] == 0

@@ -355,7 +355,7 @@ def test_scenario_rolling_session_matches_windowed_offline_replay():
     assert roller.exhausted
 
     data = scenarios.dataset(scenario.market, scenario.provider)
-    prob = scenarios.problem(scenario.engine_dtype)
+    prob = scenarios.problem()
     router = scenarios.build_router(scenario)
     for w, rolled in enumerate(roller.results()):
         offline = simulate(

@@ -19,13 +19,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.routing.akamai import BaselineProximityRouter
-from repro.routing.base import RoutingProblem
 from repro.routing.joint import JointOptimizationRouter
 from repro.routing.price import PriceConsciousRouter
 from repro.routing.static import StaticSingleHubRouter, cheapest_cluster_index
 from repro.sim.engine import SimulationOptions, simulate
 from repro.sim.session import RoutingSession, SessionExhaustedError
-from repro.traffic import akamai_like_deployment
 from repro.traffic.percentile import percentile_95
 from repro.traffic.synthetic import TraceConfig, make_trace
 
@@ -296,43 +294,3 @@ def test_session_clock_and_price_introspection(small_dataset, problem):
         np.stack([session.paid_prices(t) for t in range(trace.n_steps)]),
         offline.paid_prices,
     )
-
-
-@pytest.mark.parametrize("kind", ["baseline", "price", "joint"])
-def test_float32_session_is_independent_of_feed_size(short_trace, small_dataset, kind):
-    """A float32 session routes each step the same whatever batch it is in.
-
-    One-row feeds (the usual ``/route`` path), eight-row feeds, and the
-    offline engine must agree bitwise on allocations, their dtype,
-    loads, and the distance histogram.
-    """
-    p32 = RoutingProblem(akamai_like_deployment(), dtype="float32")
-    routers = {
-        "baseline": BaselineProximityRouter,
-        "price": lambda p: PriceConsciousRouter(p, distance_threshold_km=1500.0),
-        "joint": JointOptimizationRouter,
-    }
-    router = routers[kind](p32)
-
-    def feed(k: int):
-        session = RoutingSession(
-            small_dataset,
-            p32,
-            router,
-            start=short_trace.start,
-            step_seconds=short_trace.step_seconds,
-            n_steps=short_trace.n_steps,
-        )
-        rows = [
-            session.feed(short_trace.demand[t : t + k])
-            for t in range(0, short_trace.n_steps, k)
-        ]
-        return np.concatenate(rows), session.result()
-
-    one_alloc, one = feed(1)
-    eight_alloc, eight = feed(8)
-    offline = simulate(short_trace, small_dataset, p32, router)
-    assert one_alloc.dtype == eight_alloc.dtype == np.float32
-    assert np.array_equal(one_alloc, eight_alloc)
-    _assert_identical(one, eight)
-    _assert_identical(one, offline)
