@@ -697,19 +697,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
-    from repro import scenarios
-    from repro.faults import FaultPlan, wrap_session
+    from repro.faults import FaultPlan
     from repro.scenarios.runner import provider_override
-    from repro.serve import RoutingServer, ServerConfig, run_chaos, run_smoke
+    from repro.serve import ServerConfig, ServeSpec, run_chaos, run_smoke, serve
     from repro.serve.batcher import DEFAULT_MAX_QUEUE
-    from repro.serve.checkpoint import (
-        SessionCheckpointSpec,
-        resume_results,
-        save_checkpoint,
-    )
+    from repro.serve.shard import ShardedServer
 
     try:
         provider = _resolve_provider(args)
@@ -722,9 +714,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     if args.chaos and not args.smoke:
         print("repro serve: --chaos needs --smoke", file=sys.stderr)
-        return 2
-    if args.resume and args.rolling_window is None:
-        print("repro serve: --resume needs --rolling-window", file=sys.stderr)
         return 2
     if args.faults:
         try:
@@ -759,61 +748,52 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             except (ConfigurationError, RuntimeError) as exc:
                 print(f"repro serve --smoke: FAIL: {exc}", file=sys.stderr)
                 return 1
-            sharded = f", workers={summary['workers']}" if "workers" in summary else ""
             print(
                 "repro serve --smoke: ok "
                 f"(scenario={summary['scenario']}, requests={summary['requests']}, "
                 f"batches={summary['batches_total']}, "
                 f"batch_mean={summary['batch_size_mean']:.1f}, "
-                f"identical={summary['allocations_identical']}{sharded})"
+                f"identical={summary['allocations_identical']}, "
+                f"workers={summary['workers']})"
             )
             return 0
 
+    # The artifact store backs drain checkpoints and --resume for
+    # rolling sessions; a fixed-horizon serve never touches it.
+    store_dir = None
+    if args.rolling_window is not None:
+        _activate_store(args)
+        root = artifacts.active_root()
+        store_dir = str(root) if root is not None else None
+    # Unset keeps the default admission bound; 0 unbounds the queue.
+    max_queue = DEFAULT_MAX_QUEUE if args.max_queue is None else (args.max_queue or None)
+    try:
         if args.workers > 1:
-            return _serve_sharded(args)
-
-        # The artifact store backs drain checkpoints and --resume for
-        # rolling sessions; a fixed-horizon serve never touches it.
-        store = None
-        ckpt_spec = None
-        if args.rolling_window is not None:
-            _activate_store(args)
-            store = artifacts.get_store()
-
-        try:
-            scenario = scenarios.get(args.scenario)
-            if args.rolling_window is not None:
-                ckpt_spec = SessionCheckpointSpec(
-                    scenario=scenarios.physical(scenario), window_steps=args.rolling_window
-                )
-                banked = resume_results(store, ckpt_spec, resume=args.resume)
-                session = scenarios.open_rolling_session(
-                    scenario,
-                    window_steps=args.rolling_window,
-                    resume_results=banked,
-                )
-                if banked:
-                    print(
-                        f"repro serve: resumed from checkpoint "
-                        f"({len(banked)} banked window(s), "
-                        f"{session.steps_fed} steps)",
-                        file=sys.stderr,
-                    )
-            else:
-                session = scenarios.open_session(scenario, n_steps=args.steps)
-        except (ConfigurationError, KeyError) as exc:
-            print(f"repro serve: {exc}", file=sys.stderr)
-            return 2
-        roller = session
-        session = wrap_session(session, FaultPlan.from_env())
-        max_queue = (
-            DEFAULT_MAX_QUEUE
-            if args.max_queue is None
-            else (args.max_queue if args.max_queue > 0 else None)
-        )
-        server = RoutingServer(
-            session,
-            ServerConfig(
+            sharded = ShardedServer(
+                args.scenario,
+                workers=args.workers,
+                host=args.host,
+                port=args.port,
+                window_ms=args.batch_window_ms,
+                max_batch=args.max_batch,
+                session_steps=args.steps,
+                rolling_window=args.rolling_window,
+                provider=args.provider,
+                max_queue=max_queue,
+                drain_deadline_s=args.drain_deadline,
+                resume=args.resume,
+                store_dir=store_dir,
+            )
+        else:
+            spec = ServeSpec(
+                args.scenario,
+                steps=args.steps,
+                rolling_window=args.rolling_window,
+                provider=args.provider,
+                store_dir=store_dir,
+                resume=args.resume,
+            )
+            config = ServerConfig(
                 host=args.host,
                 port=args.port,
                 window_ms=args.batch_window_ms,
@@ -821,112 +801,44 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 scenario=args.scenario,
                 max_queue=max_queue,
                 drain_deadline_s=args.drain_deadline,
-            ),
-        )
-
-        async def _serve() -> None:
-            await server.start()
-            horizon = session.n_steps
-            shape = (
-                f"rolling {args.rolling_window}-step windows, {horizon} steps total"
-                if args.rolling_window is not None
-                else f"horizon {horizon} steps"
             )
-            print(
-                f"repro serve: scenario={args.scenario} router={scenario.router.kind} "
-                f"on http://{args.host}:{server.port} "
-                f"({shape}, window {args.batch_window_ms}ms, "
-                f"max batch {args.max_batch}, queue bound {max_queue})",
-                file=sys.stderr,
-            )
-            stop = asyncio.Event()
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, stop.set)
-                except NotImplementedError:
-                    # Platforms without loop signal handlers fall back
-                    # to KeyboardInterrupt for SIGINT.
-                    pass
-            await stop.wait()
-            print("repro serve: draining...", file=sys.stderr)
-            drained = await server.stop(drain=True)
-            if store is not None and ckpt_spec is not None:
-                path = save_checkpoint(store, ckpt_spec, roller)
-                if path is not None:
-                    state = roller.checkpoint_state()
-                    print(
-                        f"repro serve: checkpointed {state['windows_completed']} "
-                        f"window(s) ({state['steps_banked']} steps) — restart with "
-                        "--resume to continue bit-identically",
-                        file=sys.stderr,
-                    )
-            print(
-                "repro serve: stopped"
-                + ("" if drained else " (drain deadline exceeded)"),
-                file=sys.stderr,
-            )
-
-        try:
-            asyncio.run(_serve())
-        except KeyboardInterrupt:
-            print("repro serve: stopped", file=sys.stderr)
-        return 0
-
-
-def _serve_sharded(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.serve.shard import ShardedServer
-
-    store_dir = None
-    if args.rolling_window is not None:
-        _activate_store(args)
-        root = artifacts.active_root()
-        store_dir = str(root) if root is not None else None
-    try:
-        sharded = ShardedServer(
-            args.scenario,
-            workers=args.workers,
-            host=args.host,
-            port=args.port,
-            window_ms=args.batch_window_ms,
-            max_batch=args.max_batch,
-            session_steps=args.steps,
-            rolling_window=args.rolling_window,
-            provider=args.provider,
-            max_queue=args.max_queue,
-            drain_deadline_s=args.drain_deadline,
-            checkpoint=store_dir is not None,
-            resume=args.resume and store_dir is not None,
-            store_dir=store_dir,
-        )
-        sharded.start()
-        sharded.wait_ready()
-    except (ConfigurationError, RuntimeError, TimeoutError, OSError) as exc:
+    except ConfigurationError as exc:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
-    print(
-        f"repro serve: scenario={args.scenario} sharded across {args.workers} workers "
-        f"on http://{args.host}:{sharded.port}",
-        file=sys.stderr,
-    )
+    if args.workers > 1:
+        return _serve_sharded(sharded)
+    return serve(spec, config)
+
+
+def _serve_sharded(sharded) -> int:
+    """Run ``sharded`` until SIGTERM or Ctrl-C; each worker drains itself."""
     import signal
     import threading
 
+    # Installed before the workers spawn, so a SIGTERM during startup
+    # still stops them instead of orphaning them.
     stop = threading.Event()
     previous = signal.signal(signal.SIGTERM, lambda *_: stop.set())
     try:
+        try:
+            sharded.start()
+            sharded.wait_ready()
+        except (RuntimeError, TimeoutError, OSError) as exc:
+            print(f"repro serve: {exc}", file=sys.stderr)
+            return 2
+        print(
+            f"repro serve: scenario={sharded.spec.scenario} sharded across "
+            f"{sharded.workers} workers on http://{sharded.config.host}:{sharded.port}",
+            file=sys.stderr,
+        )
         while not stop.wait(timeout=1.0):
-            time.sleep(0)
+            pass
     except KeyboardInterrupt:
         pass
     finally:
         signal.signal(signal.SIGTERM, previous)
-        # stop() SIGTERMs each worker, which drains in-flight requests
-        # and (for rolling sessions with a store) checkpoints.
         sharded.stop()
-        print("repro serve: stopped", file=sys.stderr)
+    print("repro serve: stopped", file=sys.stderr)
     return 0
 
 

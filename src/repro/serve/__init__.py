@@ -11,6 +11,11 @@ incremental :class:`~repro.sim.session.RoutingSession`:
 * :class:`~repro.serve.server.RoutingServer` — the long-lived asyncio
   HTTP server (``/route``, ``/healthz``, ``/stats``), with graceful
   drain on stop;
+* :func:`~repro.serve.lifecycle.serve` — the one serving lifecycle
+  (open the :class:`~repro.serve.lifecycle.ServeSpec`'s session under
+  its provider, resume, fault-wrap, serve until SIGTERM, drain,
+  checkpoint) that ``repro serve`` runs in-process and every shard
+  worker runs in its own process;
 * :class:`~repro.serve.shard.ShardedServer` — ``--workers N`` worker
   processes sharding one port via ``SO_REUSEPORT``, publishing
   counters and heartbeats to a shared
@@ -43,6 +48,7 @@ from repro.serve.checkpoint import (
     save_checkpoint,
 )
 from repro.serve.client import HttpClient
+from repro.serve.lifecycle import ServeSpec, serve
 from repro.serve.server import RoutingServer, ServerConfig
 from repro.serve.shard import ShardBoard, ShardedServer
 from repro.serve.smoke import run_chaos, run_smoke
@@ -55,6 +61,8 @@ __all__ = [
     "HttpClient",
     "RoutingServer",
     "ServerConfig",
+    "ServeSpec",
+    "serve",
     "ShardBoard",
     "ShardedServer",
     "SessionCheckpointSpec",

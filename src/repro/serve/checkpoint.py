@@ -18,9 +18,10 @@ checkpoint written by its own configuration. Saving is atomic (the
 store's write-then-rename) and idempotent: each save rewrites the full
 banked history, so a chain that restarts repeatedly keeps one record.
 
-``repro serve --resume`` wires this in at both ends: SIGTERM drains
-the server then calls :func:`save_checkpoint`; startup with
-``--resume`` calls :func:`load_checkpoint` and hands the banked
+The serving lifecycle (:func:`repro.serve.lifecycle.serve`, behind
+``repro serve`` and every shard worker) wires this in at both ends:
+after SIGTERM drains the server it calls :func:`save_checkpoint`, and
+a ``--resume`` start calls :func:`resume_results` and hands the banked
 results to the session factory.
 """
 

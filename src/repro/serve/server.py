@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.serve.batcher import (
     DEFAULT_MAX_QUEUE,
     BackpressureError,
@@ -81,6 +82,20 @@ class ServerConfig:
     #: Seconds a graceful :meth:`RoutingServer.stop` waits for
     #: in-flight requests before failing whatever remains.
     drain_deadline_s: float = 5.0
+
+    def __post_init__(self) -> None:
+        # Refused here, before any server or shard worker is built; the
+        # messages name the ``repro serve`` flag that sets each field.
+        if self.window_ms < 0:
+            raise ConfigurationError(
+                f"--batch-window-ms must be non-negative, got {self.window_ms}"
+            )
+        if self.max_batch < 1:
+            raise ConfigurationError(f"--max-batch must be at least 1, got {self.max_batch}")
+        if self.max_queue is not None and self.max_queue < 1:
+            raise ConfigurationError(
+                f"--max-queue must be at least 1 (or unbounded), got {self.max_queue}"
+            )
 
 
 class _HttpError(Exception):
@@ -163,14 +178,6 @@ class RoutingServer:
             drained = True
         self._publish()
         return drained
-
-    async def serve_forever(self) -> None:
-        """Start (if needed) and block until cancelled."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
 
     # -- HTTP plumbing ---------------------------------------------------------
 

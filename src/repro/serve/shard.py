@@ -38,7 +38,7 @@ configured) before the parent escalates to kill.
 
 from __future__ import annotations
 
-import asyncio
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -49,6 +49,9 @@ import time
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.serve.batcher import DEFAULT_MAX_QUEUE
+from repro.serve.lifecycle import ServeSpec, serve
+from repro.serve.server import ServerConfig
 
 __all__ = ["ShardBoard", "ShardedServer"]
 
@@ -79,9 +82,6 @@ _SUM_FIELDS = tuple(
     f for f in BOARD_FIELDS[1:] if f not in ("heartbeat_ns", "restarts")
 )
 
-#: How often a worker re-publishes its row with a fresh heartbeat even
-#: when no requests arrive.
-HEARTBEAT_INTERVAL_S = 0.5
 #: A ready shard whose last publish is older than this is flagged
 #: stale: its process may be alive but its event loop is not turning.
 STALE_AFTER_S = 3.0
@@ -226,6 +226,11 @@ def _reserve_port(host: str, port: int) -> tuple[socket.socket, int]:
 class ShardedServer:
     """``workers`` routing-server processes sharing one host/port.
 
+    Each worker runs :func:`~repro.serve.lifecycle.serve` over the same
+    :class:`~repro.serve.lifecycle.ServeSpec` with its own shard's
+    :class:`~repro.serve.server.ServerConfig`; both are built (and so
+    validated) here, before anything spawns.
+
     Parameters
     ----------
     scenario_name:
@@ -241,17 +246,17 @@ class ShardedServer:
         billing windows of that many steps instead of a single
         fixed-horizon session.
     max_queue / drain_deadline_s:
-        Per-shard admission bound and graceful-drain deadline,
-        forwarded into each worker's ``ServerConfig``.
-    supervise:
-        Respawn workers that die after becoming ready (capped
-        exponential backoff from ``backoff_base_s`` to
-        ``backoff_cap_s``). Workers that die during startup are never
-        respawned — :meth:`wait_ready` reports them instead.
-    checkpoint / resume / store_dir:
-        Rolling shards only: drain-and-checkpoint each shard's session
-        to the artifact store at ``store_dir`` on SIGTERM, and/or
-        resume from the store at startup.
+        Per-shard admission bound (``None`` unbounds it) and
+        graceful-drain deadline, as in each worker's ``ServerConfig``.
+    backoff_base_s / backoff_cap_s:
+        The supervisor respawns workers that die after becoming ready,
+        under capped exponential backoff between these bounds. Workers
+        that die during startup are never respawned —
+        :meth:`wait_ready` reports them instead.
+    resume / store_dir:
+        Rolling shards only: with a store at ``store_dir``, each shard
+        checkpoints its session there on SIGTERM, and with ``resume``
+        it restarts from that checkpoint.
     """
 
     def __init__(
@@ -263,17 +268,14 @@ class ShardedServer:
         port: int = 0,
         window_ms: float = 5.0,
         max_batch: int = 64,
-        max_body_bytes: int | None = None,
         session_steps: int | None = None,
         rolling_window: int | None = None,
         max_windows: int | None = None,
         provider: str | None = None,
-        max_queue: int | None = None,
+        max_queue: int | None = DEFAULT_MAX_QUEUE,
         drain_deadline_s: float = 5.0,
-        supervise: bool = True,
         backoff_base_s: float = 0.5,
         backoff_cap_s: float = 10.0,
-        checkpoint: bool = False,
         resume: bool = False,
         store_dir: str | None = None,
     ) -> None:
@@ -283,34 +285,33 @@ class ShardedServer:
             raise ConfigurationError(
                 "sharded serving needs SO_REUSEPORT, which this platform lacks"
             )
-        if (checkpoint or resume) and rolling_window is None:
-            raise ConfigurationError(
-                "checkpoint/resume need a rolling session (set rolling_window)"
-            )
-        self.scenario_name = scenario_name
+        self.spec = ServeSpec(
+            scenario_name,
+            steps=session_steps,
+            rolling_window=rolling_window,
+            max_windows=max_windows,
+            provider=provider,
+            store_dir=store_dir,
+            resume=resume,
+        )
+        self.config = ServerConfig(
+            host=host,
+            port=port,
+            window_ms=window_ms,
+            max_batch=max_batch,
+            scenario=scenario_name,
+            reuse_port=True,
+            n_shards=workers,
+            max_queue=max_queue,
+            drain_deadline_s=drain_deadline_s,
+        )
         self.workers = int(workers)
-        self.host = host
-        self._requested_port = port
-        self.window_ms = window_ms
-        self.max_batch = max_batch
-        self.max_body_bytes = max_body_bytes
-        self.session_steps = session_steps
-        self.rolling_window = rolling_window
-        self.max_windows = max_windows
-        self.provider = provider
-        self.max_queue = max_queue
-        self.drain_deadline_s = drain_deadline_s
-        self.supervise = supervise
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_cap_s = float(backoff_cap_s)
-        self.checkpoint = checkpoint
-        self.resume = resume
-        self.store_dir = store_dir
         self.port: int | None = None
         self.board: ShardBoard | None = None
         self._reserve: socket.socket | None = None
         self._procs: list[multiprocessing.Process] = []
-        self._options: dict = {}
         self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
         self._stop_event = threading.Event()
@@ -334,40 +335,20 @@ class ShardedServer:
         return dict(self._restarts)
 
     def start(self) -> None:
-        self._reserve, self.port = _reserve_port(self.host, self._requested_port)
+        self._reserve, self.port = _reserve_port(self.config.host, self.config.port)
         self.board = ShardBoard(self.workers)
         self._stop_event.clear()
-        self._options = {
-            "host": self.host,
-            "port": self.port,
-            "window_ms": self.window_ms,
-            "max_batch": self.max_batch,
-            "max_body_bytes": self.max_body_bytes,
-            "board_name": self.board.name,
-            "n_shards": self.workers,
-            "session_steps": self.session_steps,
-            "rolling_window": self.rolling_window,
-            "max_windows": self.max_windows,
-            "provider": self.provider,
-            "max_queue": self.max_queue,
-            "drain_deadline_s": self.drain_deadline_s,
-            "checkpoint": self.checkpoint,
-            "resume": self.resume,
-            "store_dir": self.store_dir,
-        }
         for shard in range(self.workers):
             self._procs.append(self._spawn(shard))
-        if self.supervise:
-            self._monitor = threading.Thread(
-                target=self._supervise, name="shard-supervisor", daemon=True
-            )
-            self._monitor.start()
+        self._monitor = threading.Thread(
+            target=self._supervise, name="shard-supervisor", daemon=True
+        )
+        self._monitor.start()
 
     def _spawn(self, shard: int) -> multiprocessing.Process:
+        config = dataclasses.replace(self.config, port=self.port, shard_index=shard)
         proc = self._ctx.Process(
-            target=_worker_main,
-            args=(self.scenario_name, shard, self._options),
-            daemon=True,
+            target=_worker_main, args=(self.spec, config, self.board.name), daemon=True
         )
         proc.start()
         return proc
@@ -473,7 +454,7 @@ class ShardedServer:
                 os.kill(proc.pid, signal.SIGTERM)
         # The join deadline must outlive a worker's graceful drain, or
         # the parent kills shards mid-checkpoint.
-        join_s = max(timeout, self.drain_deadline_s + 5.0)
+        join_s = max(timeout, self.config.drain_deadline_s + 5.0)
         for proc in procs:
             proc.join(timeout=join_s)
             if proc.is_alive():
@@ -498,103 +479,12 @@ class ShardedServer:
         self.stop()
 
 
-def _worker_main(scenario_name: str, shard: int, options: dict) -> None:
+def _worker_main(spec: ServeSpec, config: ServerConfig, board_name: str) -> None:
     """Spawned shard entry point: serve until SIGTERM."""
-    asyncio.run(_worker_serve(scenario_name, shard, options))
-
-
-async def _worker_serve(scenario_name: str, shard: int, options: dict) -> None:
-    from repro import artifacts, scenarios
-    from repro.faults import FaultPlan, wrap_session
-    from repro.scenarios.runner import provider_override
-    from repro.serve.checkpoint import (
-        SessionCheckpointSpec,
-        resume_results,
-        save_checkpoint,
-    )
-    from repro.serve.server import RoutingServer, ServerConfig
-
-    store = None
-    ckpt_spec = None
-    if options.get("store_dir") and (options.get("checkpoint") or options.get("resume")):
-        artifacts.configure(options["store_dir"])
-        store = artifacts.get_store()
-
-    spec = None
-    if options.get("provider"):
-        from repro.markets.providers import preset
-
-        spec = preset(options["provider"]).spec
-    with provider_override(spec):
-        scenario = scenarios.get(scenario_name)
-        if store is not None:
-            ckpt_spec = SessionCheckpointSpec(
-                scenario=scenarios.physical(scenario),
-                window_steps=int(options["rolling_window"]),
-                shard_index=shard,
-                n_shards=int(options["n_shards"]),
-            )
-        if options["rolling_window"] is not None:
-            banked = (
-                resume_results(store, ckpt_spec, resume=bool(options.get("resume")))
-                if ckpt_spec is not None
-                else ()
-            )
-            session = scenarios.open_rolling_session(
-                scenario,
-                window_steps=options["rolling_window"],
-                max_windows=options["max_windows"],
-                resume_results=banked,
-            )
-        else:
-            session = scenarios.open_session(scenario, n_steps=options["session_steps"])
-
-    # An armed fault plan (REPRO_FAULTS in the spawn snapshot) wraps the
-    # session; unaffected shards get the bare session back.
-    roller = session
-    session = wrap_session(session, FaultPlan.from_env(), shard=shard)
-
-    board = ShardBoard(options["n_shards"], name=options["board_name"])
-    config_kwargs = {
-        "host": options["host"],
-        "port": options["port"],
-        "window_ms": options["window_ms"],
-        "max_batch": options["max_batch"],
-        "scenario": scenario_name,
-        "reuse_port": True,
-        "shard_index": shard,
-        "n_shards": options["n_shards"],
-        "drain_deadline_s": options.get("drain_deadline_s", 5.0),
-    }
-    # None means "ServerConfig's default bound"; zero/negative means
-    # explicitly unbounded.
-    if options.get("max_queue") is not None:
-        config_kwargs["max_queue"] = (
-            options["max_queue"] if options["max_queue"] > 0 else None
-        )
-    if options["max_body_bytes"] is not None:
-        config_kwargs["max_body_bytes"] = options["max_body_bytes"]
-    server = RoutingServer(session, ServerConfig(**config_kwargs), board=board)
-
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(sig, stop.set)
-    await server.start()
-
-    async def heartbeat() -> None:
-        while True:
-            await asyncio.sleep(HEARTBEAT_INTERVAL_S)
-            server._publish()
-
-    beat = loop.create_task(heartbeat())
+    board = ShardBoard(config.n_shards, name=board_name)
     try:
-        await stop.wait()
+        status = serve(spec, config, board=board)
     finally:
-        beat.cancel()
-        # Graceful exit: refuse new work with 503, finish what is in
-        # flight under the deadline, then checkpoint the banked chain.
-        await server.stop(drain=True)
-        if store is not None and ckpt_spec is not None and options.get("checkpoint"):
-            save_checkpoint(store, ckpt_spec, roller)
         board.close()
+    if status:
+        raise SystemExit(status)

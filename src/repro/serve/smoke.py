@@ -4,12 +4,13 @@ Boots a real :class:`~repro.serve.server.RoutingServer` on an
 ephemeral port, fires a concurrent burst of ``/route`` requests over
 several keep-alive connections, and checks the full serving contract:
 
-* every request is answered, and the assigned step indices are exactly
-  a permutation of the horizon prefix (arrival-order assignment);
-* the served per-cluster loads are **bit-identical** to an offline
-  :class:`~repro.sim.session.RoutingSession` replay of the same demand
-  rows in step order — micro-batching changed scheduling, never
-  results;
+* every request is answered, and each shard's assigned step indices
+  are exactly a permutation of its horizon prefix (arrival-order
+  assignment; a single server is shard 0);
+* each shard's served per-cluster loads are **bit-identical** to an
+  offline :class:`~repro.sim.session.RoutingSession` replay of the
+  demand rows it was sent, in step order — micro-batching changed
+  scheduling, never results;
 * ``/healthz`` reports the fed horizon and ``/stats`` counters add up
   (all requests seen, at least one multi-request batch when the burst
   is concurrent).
@@ -32,24 +33,6 @@ from repro.serve.server import RoutingServer, ServerConfig
 __all__ = ["run_smoke", "run_chaos"]
 
 
-async def _burst(
-    host: str, port: int, rows: np.ndarray, n_connections: int
-) -> list[dict]:
-    """Send one /route request per row, spread over concurrent clients."""
-    clients = [HttpClient(host, port) for _ in range(n_connections)]
-    for client in clients:
-        await client.connect()
-    try:
-        tasks = [
-            asyncio.ensure_future(clients[i % n_connections].route(row.tolist()))
-            for i, row in enumerate(rows)
-        ]
-        return list(await asyncio.gather(*tasks))
-    finally:
-        for client in clients:
-            await client.close()
-
-
 def run_smoke(
     scenario_name: str = "serve-smoke",
     *,
@@ -61,139 +44,104 @@ def run_smoke(
 ) -> dict:
     """Run the self-test; returns the summary dict, raises on failure.
 
-    With ``workers > 1`` the checks run against a sharded deployment
-    instead: each connection's requests land on one shard, each
-    shard's step indices form a horizon prefix of *its* session, and
-    each shard's served loads are bit-identical to an offline replay
-    of the rows it was sent.
+    With ``workers > 1`` the burst goes to a sharded deployment
+    instead. Either way each connection's requests land on one shard
+    (a single server is shard 0), each shard's step indices form a
+    horizon prefix of *its* session, and each shard's served loads are
+    bit-identical to an offline replay of the rows it was sent.
     """
     scenario = scenarios.get(scenario_name)
     grid = scenarios.trace(scenario.trace, scenario.market)
     n_requests = min(n_requests, grid.n_steps)
     rows = grid.demand[:n_requests]
 
+    async def _run(port: int) -> tuple[list, dict, tuple[int, dict]]:
+        results, _ = await _status_burst("127.0.0.1", port, rows, n_connections)
+        async with HttpClient("127.0.0.1", port) as probe:
+            health = await probe.request("GET", "/healthz")
+            _, stats = await probe.request("GET", "/stats")
+        return results, stats, health
+
     if workers > 1:
-        return _run_sharded_smoke(
+        from repro.serve.shard import ShardedServer
+
+        with ShardedServer(
             scenario_name,
-            scenario,
-            rows,
-            n_connections=n_connections,
+            workers=workers,
             window_ms=window_ms,
             max_batch=max_batch,
-            workers=workers,
-        )
+            session_steps=n_requests,
+        ) as sharded:
+            results, stats, _ = asyncio.run(_run(sharded.port))
+        totals = stats["shards"]
+    else:
 
-    async def _run() -> dict:
-        session = scenarios.open_session(scenario, n_steps=n_requests)
-        server = RoutingServer(
-            session,
-            ServerConfig(
-                host="127.0.0.1",
-                port=0,
-                window_ms=window_ms,
-                max_batch=max_batch,
-                scenario=scenario_name,
-            ),
-        )
-        await server.start()
-        try:
-            host, port = "127.0.0.1", server.port
-            responses = await _burst(host, port, rows, n_connections)
-            async with HttpClient(host, port) as probe:
-                health_status, health = await probe.request("GET", "/healthz")
-                stats_status, stats = await probe.request("GET", "/stats")
-            return {
-                "responses": responses,
-                "health_status": health_status,
-                "health": health,
-                "stats_status": stats_status,
-                "stats": stats,
-            }
-        finally:
-            await server.stop()
+        async def _run_single() -> tuple[list, dict, tuple[int, dict]]:
+            session = scenarios.open_session(scenario, n_steps=n_requests)
+            server = RoutingServer(
+                session,
+                ServerConfig(
+                    host="127.0.0.1",
+                    port=0,
+                    window_ms=window_ms,
+                    max_batch=max_batch,
+                    scenario=scenario_name,
+                ),
+            )
+            await server.start()
+            try:
+                return await _run(server.port)
+            finally:
+                await server.stop()
 
-    out = asyncio.run(_run())
-    responses, stats = out["responses"], out["stats"]
+        results, stats, (health_status, health) = asyncio.run(_run_single())
+        if health_status != 200 or health["steps_fed"] != n_requests:
+            raise RuntimeError(f"healthz mismatch: {health}")
+        totals = stats
 
-    steps = sorted(r["step"] for r in responses)
-    if steps != list(range(n_requests)):
-        raise RuntimeError(f"served steps are not the horizon prefix: {steps[:10]}...")
-    if out["health_status"] != 200 or out["health"]["steps_fed"] != n_requests:
-        raise RuntimeError(f"healthz mismatch: {out['health']}")
-    if stats["requests_total"] != n_requests or stats["steps_fed"] != n_requests:
-        raise RuntimeError(f"stats counters mismatch: {stats}")
-    if stats["batches_total"] < 1 or stats["batches_total"] > n_requests:
-        raise RuntimeError(f"implausible batch count: {stats}")
+    outcomes = _classify(results)
+    if outcomes != {"200": n_requests}:
+        raise RuntimeError(f"not every request served: {outcomes}")
+    if totals["requests_total"] != n_requests:
+        raise RuntimeError(f"request count mismatch: {totals}")
+    if totals["steps_fed"] != n_requests or totals["batch_rows_total"] != n_requests:
+        raise RuntimeError(f"counters mismatch: {totals}")
+    if not 1 <= totals["batches_total"] <= n_requests:
+        raise RuntimeError(f"implausible batch count: {totals}")
 
-    # Offline replay of the same rows in step order must match bitwise.
-    replay = scenarios.open_session(scenario, n_steps=n_requests)
-    replay.feed(rows)
-    labels = replay.cluster_labels
-    served = np.empty((n_requests, len(labels)))
-    for r in responses:
-        served[r["step"]] = [r["loads"][label] for label in labels]
-    offline = replay.result().loads
-    identical = bool(np.array_equal(served, offline))
-    if not identical:
-        raise RuntimeError("served loads differ from offline replay")
+    shards_hit = _check_replay(scenario, rows, [body for _, body in results])
 
     return {
         "scenario": scenario_name,
         "requests": n_requests,
         "connections": n_connections,
         "window_ms": window_ms,
-        "batches_total": stats["batches_total"],
-        "batch_size_max": stats["batch_size_max"],
-        "batch_size_mean": stats["batch_size_mean"],
-        "allocations_identical": identical,
+        "workers": workers,
+        "shards_hit": shards_hit,
+        "batches_total": totals["batches_total"],
+        "batch_size_max": totals["batch_size_max"],
+        "batch_size_mean": totals["batch_size_mean"],
+        "allocations_identical": True,
     }
 
 
-def _run_sharded_smoke(
-    scenario_name: str,
-    scenario,
-    rows: np.ndarray,
-    *,
-    n_connections: int,
-    window_ms: float,
-    max_batch: int,
-    workers: int,
-) -> dict:
-    from repro.serve.shard import ShardedServer
+def _check_replay(scenario, rows: np.ndarray, responses: list[dict]) -> list[int]:
+    """Check each shard's responses against an offline replay; the shards hit.
 
-    n_requests = len(rows)
-    with ShardedServer(
-        scenario_name,
-        workers=workers,
-        window_ms=window_ms,
-        max_batch=max_batch,
-        session_steps=n_requests,
-    ) as sharded:
-
-        async def _run() -> tuple[list[dict], dict]:
-            responses = await _burst("127.0.0.1", sharded.port, rows, n_connections)
-            async with HttpClient("127.0.0.1", sharded.port) as probe:
-                _, stats = await probe.request("GET", "/stats")
-            return responses, stats
-
-        responses, stats = asyncio.run(_run())
-
-    aggregate = stats["shards"]
-    if aggregate["requests_total"] != n_requests:
-        raise RuntimeError(f"aggregate request count mismatch: {aggregate}")
-    if aggregate["steps_fed"] != n_requests or aggregate["batch_rows_total"] != n_requests:
-        raise RuntimeError(f"aggregate counters mismatch: {aggregate}")
-    shards_hit = sorted({r["shard"] for r in responses})
-
-    # Per shard: arrival-order step prefix, and bitwise offline replay
-    # of exactly the rows that shard was sent, in step order.
+    Per shard (a single server is shard 0): the steps served are an
+    arrival-order horizon prefix, and the served loads are bitwise
+    equal to an offline session fed exactly the rows that shard was
+    sent, in step order.
+    """
+    shards_hit = sorted({r.get("shard", 0) for r in responses})
     for shard in shards_hit:
-        member_rows = [(r["step"], i) for i, r in enumerate(responses) if r["shard"] == shard]
-        member_rows.sort()
+        member_rows = sorted(
+            (r["step"], i) for i, r in enumerate(responses) if r.get("shard", 0) == shard
+        )
         steps = [step for step, _ in member_rows]
         if steps != list(range(len(steps))):
             raise RuntimeError(f"shard {shard} steps are not a horizon prefix: {steps[:10]}")
-        replay = scenarios.open_session(scenario, n_steps=n_requests)
+        replay = scenarios.open_session(scenario, n_steps=len(rows))
         allocations = replay.feed(np.stack([rows[i] for _, i in member_rows]))
         served = np.array(
             [
@@ -203,19 +151,7 @@ def _run_sharded_smoke(
         )
         if not np.array_equal(served, allocations.sum(axis=1)):
             raise RuntimeError(f"shard {shard} loads differ from offline replay")
-
-    return {
-        "scenario": scenario_name,
-        "requests": n_requests,
-        "connections": n_connections,
-        "window_ms": window_ms,
-        "workers": workers,
-        "shards_hit": shards_hit,
-        "batches_total": aggregate["batches_total"],
-        "batch_size_max": aggregate["batch_size_max"],
-        "batch_size_mean": aggregate["batch_size_mean"],
-        "allocations_identical": True,
-    }
+    return shards_hit
 
 
 # -- chaos matrix (``repro serve --smoke --chaos``) ---------------------------
@@ -388,15 +324,7 @@ def run_chaos(
     outcomes = _classify(results)
     if outcomes.get("200", 0) != n_requests:
         raise RuntimeError(f"provider_delay: not every request served: {outcomes}")
-    replay = scenarios.open_session(scenario, n_steps=n_requests)
-    replay.feed(rows)
-    labels = replay.cluster_labels
-    served = np.empty((n_requests, len(labels)))
-    for result in results:
-        body = result[1]
-        served[body["step"]] = [body["loads"][label] for label in labels]
-    if not np.array_equal(served, replay.result().loads):
-        raise RuntimeError("provider_delay: served loads differ from offline replay")
+    _check_replay(scenario, rows, [body for _, body in results])
     _assert_reconciled(stats)
     summary["legs"]["provider_delay"] = {"outcomes": outcomes, "identical": True}
 

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from repro.experiments.orchestrator import (
 
 #: Cheap, simulation-free figures for CLI round-trips.
 CHEAP = ["fig01", "fig06"]
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestArgParsing:
@@ -55,6 +61,39 @@ class TestArgParsing:
         # traceback.
         assert main(["run", "--no-store", "fig06", "--provider", "replay-smoke"]) == 2
         assert "unknown market hub" in capsys.readouterr().err
+
+
+class TestServeFlags:
+    """Serve flags that cannot take effect are usage errors, not ignored.
+
+    Each case runs in its own process with a timeout, because a server
+    that accepts the flags serves until it is killed.
+    """
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--steps", "5", "--rolling-window", "4"], "--steps"),
+            (["--rolling-window", "4", "--resume", "--no-store"], "--resume"),
+            (["--rolling-window", "4", "--resume", "--no-store", "--workers", "2"], "--resume"),
+            (["--max-queue", "-3"], "--max-queue"),
+            (["--max-batch", "0"], "--max-batch"),
+            (["--batch-window-ms", "-1"], "--batch-window-ms"),
+            (["--workers", "2", "--max-batch", "0"], "--max-batch"),
+        ],
+    )
+    def test_refused_with_usage_error(self, tmp_path, flags, named):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", *flags],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert named in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestProvidersCommand:

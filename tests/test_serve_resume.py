@@ -288,3 +288,67 @@ def test_cli_resume_under_another_provider_starts_fresh(tmp_path):
     _terminate(proc)
     assert "resumed from checkpoint" not in banner
     assert bodies[0]["step"] == 0
+
+
+def _read_until(proc: subprocess.Popen, text: str, seen: str) -> str:
+    """Read ``proc``'s stderr until ``text`` appears; everything read."""
+    lines = [seen]
+    deadline = time.monotonic() + 60
+    while text not in "".join(lines) and time.monotonic() < deadline:
+        line = proc.stderr.readline()
+        if not line and proc.poll() is not None:
+            break
+        lines.append(line)
+    if text not in "".join(lines):
+        proc.kill()
+        raise AssertionError(f"never saw {text!r}; stderr: {''.join(lines)}")
+    return "".join(lines)
+
+
+async def _per_shard_steps(port: int) -> list[int]:
+    async with HttpClient("127.0.0.1", port) as client:
+        _, stats = await client.request("GET", "/stats")
+    return [row["steps_fed"] for row in stats["per_shard"]]
+
+
+def test_cli_sharded_checkpoint_resume_and_provider_miss(tmp_path):
+    """Each shard checkpoints on SIGTERM and resumes only its own chain.
+
+    One keep-alive connection lands on one shard, so routing a window
+    and a step over it banks exactly one window on that shard.
+    """
+    rows = _rows(WINDOW + 1)
+    shard_line = r"shard \d: "
+
+    proc, port, banner = _spawn_serve(tmp_path, "--workers", "2")
+    try:
+        _read_until(proc, "sharded across 2 workers", banner)
+        asyncio.run(_route_all(port, rows))
+    except BaseException:
+        proc.kill()
+        raise
+    assert re.search(shard_line + r"checkpointed 1 window\(s\)", _terminate(proc))
+
+    proc, port, banner = _spawn_serve(tmp_path, "--workers", "2", "--resume")
+    try:
+        banner = _read_until(proc, "sharded across 2 workers", banner)
+        steps = asyncio.run(_per_shard_steps(port))
+    except BaseException:
+        proc.kill()
+        raise
+    stderr = banner + _terminate(proc)
+    assert re.search(shard_line + r"resumed from checkpoint \(1 banked window\(s\)", stderr)
+    assert sorted(steps) == [0, WINDOW]
+
+    proc, port, banner = _spawn_serve(
+        tmp_path, "--workers", "2", "--provider", "spiky-markets", "--resume"
+    )
+    try:
+        banner = _read_until(proc, "sharded across 2 workers", banner)
+        steps = asyncio.run(_per_shard_steps(port))
+    except BaseException:
+        proc.kill()
+        raise
+    stderr = banner + _terminate(proc)
+    assert "resumed from checkpoint" not in stderr
+    assert steps == [0, 0]
