@@ -32,6 +32,7 @@ from repro.routing import (
     JointOptimizationRouter,
     PriceConsciousRouter,
     RoutingProblem,
+    batch_allocate,
 )
 from repro.sim import SimulationOptions, simulate, simulate_per_step
 from repro.traffic.clusters import akamai_like_deployment
@@ -258,6 +259,94 @@ def bench_profile(days: int) -> dict:
     return {"days": days, "cases": report}
 
 
+#: Batch sizes timed by :func:`bench_router_cost`: 1-8 rows is what a
+#: ``/route`` server hands the router, thousands what ``repro run`` does.
+ROUTER_COST_SIZES = (1, 2, 4, 8, 64, 8192)
+
+
+def bench_router_cost(load: float = 0.87, seed: int = 18, reps: int = 30) -> dict:
+    """Per-call router cost: fixed overhead vs per-step marginal cost.
+
+    Random demand against per-step limits summing to ``demand / load``
+    with uneven per-cluster shares, so every step spills and the greedy
+    fill runs on every row. For each router the section times
+    ``batch_allocate`` at each of :data:`ROUTER_COST_SIZES` and scalar
+    ``allocate`` over the same rows. Up to 64 rows, each sample is a
+    loop of back-to-back calls (16 rows' worth), timed alternately with
+    the scalar loop over the same rows, so a slow stretch of the host
+    hits both sides of the sample's ratio alike. The host-independent
+    figure is ``ratio``, the median over samples of ``batch_allocate(T)
+    / (T x scalar)``: below 1 means coalescing rows into one call pays.
+    """
+    problem = RoutingProblem(akamai_like_deployment())
+    routers = {
+        "price": PriceConsciousRouter(problem, distance_threshold_km=1500.0),
+        "baseline": BaselineProximityRouter(problem),
+        "joint": JointOptimizationRouter(
+            problem, distance_penalty_per_1000km=10.0, congestion_penalty=50.0
+        ),
+    }
+    rng = np.random.default_rng(seed)
+    n_rows = max(ROUTER_COST_SIZES)
+    demand = rng.random((n_rows, problem.n_states)) * 2e4
+    prices = rng.random((n_rows, problem.n_clusters)) * 120.0 + 15.0
+    shares = 0.25 + rng.random((n_rows, problem.n_clusters))
+    shares /= shares.sum(axis=1, keepdims=True)
+    limits = shares * demand.sum(axis=1, keepdims=True) / load
+    small = [n for n in ROUTER_COST_SIZES if n <= 64]
+
+    def clock(fn, loops: int) -> float:
+        t0 = time.perf_counter()
+        for _ in range(loops):
+            fn()
+        return (time.perf_counter() - t0) / loops
+
+    record = {"load": load, "sizes": list(ROUTER_COST_SIZES), "routers": {}}
+    for name, router in routers.items():
+
+        def batch(n, router=router):
+            return batch_allocate(router, demand[:n], prices[:n], limits[:n])
+
+        def scalar(n, router=router):
+            return [router.allocate(demand[t], prices[t], limits[t]) for t in range(n)]
+
+        # Bitwise contract first: a fast wrong answer is not a result.
+        identical = all(np.array_equal(batch(n), np.stack(scalar(n))) for n in small)
+        batch_s = {n: [] for n in ROUTER_COST_SIZES}
+        scalar_s = {n: [] for n in small}
+        for rep in range(reps + 1):
+            for n in small:
+                loops = max(1, 16 // n)
+                b = clock(lambda: batch(n), loops)
+                s = clock(lambda: scalar(n), loops)
+                if rep:  # the first pass is a warm-up
+                    batch_s[n].append(b)
+                    scalar_s[n].append(s)
+            if rep % 10 == 1:
+                batch_s[n_rows].append(clock(lambda: batch(n_rows), 1))
+        calls = {}
+        for n in ROUTER_COST_SIZES:
+            ms = 1e3 * statistics.median(batch_s[n])
+            entry = {"ms": round(ms, 4), "per_step_us": round(1e3 * ms / n, 2)}
+            if n in scalar_s:
+                ratios = [b / s for b, s in zip(batch_s[n], scalar_s[n])]
+                entry["ratio"] = round(statistics.median(ratios), 3)
+            calls[str(n)] = entry
+        scalar_ms = 1e3 * statistics.median(scalar_s[1])
+        record["routers"][name] = {
+            "scalar_ms": round(scalar_ms, 4),
+            "calls": calls,
+            "identical": identical,
+        }
+        ratios = " ".join(f"{n}:{calls[str(n)]['ratio']:.2f}" for n in small)
+        print(
+            f"{'router_cost:' + name:24s} scalar {scalar_ms:6.3f}ms  "
+            f"T={n_rows} {calls[str(n_rows)]['per_step_us']:6.2f}us/step  "
+            f"ratio(T) {ratios}  identical {identical}"
+        )
+    return record
+
+
 def bench_serve_section(quick: bool) -> dict:
     """Serving QPS/latency through the asyncio server (bench_serve.py)."""
     import sys
@@ -339,6 +428,7 @@ def bench(days: int, repeats: int) -> dict:
         "provider": bench_provider(repeats),
         "sweep": bench_sweep(jobs=2),
         "campaign": bench_campaign(),
+        "router_cost": bench_router_cost(),
         "serve": bench_serve_section(quick=days < 365),
     }
 
@@ -372,6 +462,10 @@ def main() -> int:
     if not record["campaign"]["identical"]:
         print("FAIL: streaming campaign pipeline diverged from the eager aggregate path")
         return 1
+    for name, entry in record["router_cost"]["routers"].items():
+        if not entry["identical"]:
+            print(f"FAIL: batch_allocate diverged from scalar allocate ({name})")
+            return 1
     for name, level in record["serve"]["levels"].items():
         if not level["allocations_identical"]:
             print(f"FAIL: served allocations diverged from the offline replay ({name})")

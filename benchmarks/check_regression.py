@@ -80,6 +80,15 @@ COMMITTED_SERVE_C1_P50_MS = 6.3
 SHARDED_PARALLEL_SPEEDUP = 2.0
 SHARDED_NO_COLLAPSE_RATIO = 0.5
 
+#: Router fixed cost: one ``batch_allocate`` call of T spilling rows
+#: must cost no more than T scalar ``allocate`` calls on the same rows,
+#: so coalescing requests never slows the server down. The gate is on
+#: the host-independent ratio (both sides timed interleaved on one
+#: host) at the batch sizes below; T=2 is recorded but not gated (see
+#: docs/performance.md, "Router per-call cost").
+MAX_ROUTER_BATCH_RATIO = 1.0
+ROUTER_RATIO_SIZES = ("8",)
+
 #: Fresh serving runs on shared CI runners keep a generous margin:
 #: a level fails only below this fraction of the committed QPS.
 MIN_SERVE_QPS_RATIO = 0.4
@@ -199,6 +208,36 @@ def check_campaign(fresh: dict) -> list[str]:
         f"overhead {ratio:5.2f}x  peak {legacy_peak:6.1f} -> {stream_peak:6.1f} MiB  "
         f"identical {identical}  {'ok' if not failures else 'FAIL'}"
     )
+    return failures
+
+
+def check_router_cost(fresh: dict) -> list[str]:
+    """Gates on the fresh record's router per-call cost section."""
+    section = fresh.get("router_cost")
+    if section is None:
+        return []  # records from before the router-cost section
+    failures = []
+    for name, entry in section.get("routers", {}).items():
+        problems = []
+        if not entry.get("identical", False):
+            problems.append(f"router_cost {name}: batch_allocate diverged from scalar allocate")
+        for size in ROUTER_RATIO_SIZES:
+            ratio = float(entry["calls"][size]["ratio"])
+            if ratio > MAX_ROUTER_BATCH_RATIO:
+                problems.append(
+                    f"router_cost {name}: batch_allocate of {size} rows costs {ratio:.2f}x "
+                    f"{size} scalar calls (ceiling {MAX_ROUTER_BATCH_RATIO:.2f}x)"
+                )
+        ratios = "  ".join(
+            f"T={size} {float(call['ratio']):.2f}x"
+            for size, call in entry["calls"].items()
+            if "ratio" in call
+        )
+        print(
+            f"{'router_cost:' + name:24s} scalar {float(entry['scalar_ms']):6.3f}ms  "
+            f"{ratios}  {'ok' if not problems else 'FAIL'}"
+        )
+        failures.extend(problems)
     return failures
 
 
@@ -340,6 +379,7 @@ def check(baseline: dict, fresh: dict, max_regression: float) -> list[str]:
         + check_sweep(fresh)
         + check_campaign(fresh)
         + check_profile(fresh)
+        + check_router_cost(fresh)
         + check_serve(baseline, fresh)
     )
     base_runs = baseline.get("runs", {})

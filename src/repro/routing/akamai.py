@@ -77,7 +77,7 @@ class BaselineProximityRouter:
         self.balance_slack = balance_slack
         self.min_target_fraction = min_target_fraction
         distances = problem.distances.matrix
-        self._orders = [np.argsort(distances[s]) for s in range(problem.n_states)]
+        self._orders = [np.argsort(distances[s]).tolist() for s in range(problem.n_states)]
         # Rectangular (n_states, n_clusters) view of the same orders
         # for the batched greedy fill.
         self._order_matrix = np.vstack(self._orders)
@@ -85,6 +85,10 @@ class BaselineProximityRouter:
         self._fallback_rest = fallback_rest_table(self._orders, problem.n_clusters)
         capacities = problem.deployment.capacities
         self._shares = capacities / capacities.sum()
+        # Balancing targets only matter at bandwidth-relevant scale; a
+        # floor of a few percent of capacity keeps tiny demand local
+        # instead of scattering it across the country.
+        self._target_floor = capacities * min_target_fraction
 
     @property
     def capacity_shares(self) -> np.ndarray:
@@ -99,18 +103,11 @@ class BaselineProximityRouter:
         """
         del prices
         total = float(demand.sum())
-        # Balancing targets only matter at bandwidth-relevant scale; a
-        # floor of a few percent of capacity keeps tiny demand local
-        # instead of scattering it across the country.
-        capacities = self._problem.deployment.capacities
-        targets = np.maximum(
-            self._shares * total * self.balance_slack,
-            capacities * self.min_target_fraction,
-        )
+        targets = np.maximum(self._shares * total * self.balance_slack, self._target_floor)
         effective = np.minimum(limits, targets)
         # Guarantee feasibility: slack >= 1 makes sum(targets) >= total,
         # but the external limits may bite; fall back to them alone.
-        if float(np.sum(np.minimum(effective, 1e18))) < total:
+        if float(np.minimum(effective, 1e18).sum()) < total:
             effective = limits
         return greedy_fill(demand, self._orders, effective, fallback_rest=self._fallback_rest)
 
@@ -128,17 +125,14 @@ class BaselineProximityRouter:
         """
         del prices
         demand = np.asarray(demand, dtype=float)
-        n_steps = demand.shape[0]
-        capacities = self._problem.deployment.capacities
         limits = np.asarray(limits, dtype=float)
-        step_limits = np.broadcast_to(limits, (n_steps, capacities.shape[0]))
         totals = demand.sum(axis=1)
         targets = np.maximum(
             self._shares[None, :] * totals[:, None] * self.balance_slack,
-            (capacities * self.min_target_fraction)[None, :],
+            self._target_floor,
         )
-        effective = np.minimum(step_limits, targets)
-        infeasible = np.sum(np.minimum(effective, 1e18), axis=1) < totals
-        if np.any(infeasible):
-            effective[infeasible] = step_limits[infeasible]
+        effective = np.minimum(limits, targets)
+        infeasible = np.minimum(effective, 1e18).sum(axis=1) < totals
+        if infeasible.any():
+            effective[infeasible] = np.broadcast_to(limits, effective.shape)[infeasible]
         return greedy_fill_batch(demand, self._order_matrix, effective)

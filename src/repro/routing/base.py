@@ -34,6 +34,15 @@ __all__ = [
     "deployment_distance_table",
 ]
 
+#: Batched fills of fewer steps than this walk each step on Python
+#: floats (:func:`_spill_walk`, the scalar walk); longer ones take the
+#: vectorised walk, whose fixed cost of ~12 numpy calls per (state
+#: rank, preference position) only pays off over many steps. 192 is
+#: the measured crossover for spilling steps on the two-CPU reference
+#: box (see ``docs/performance.md``, "Router per-call cost").
+_VECTOR_WALK_MIN_STEPS = 192
+
+
 def _profiling():
     # Imported lazily: repro.sim.engine imports this module, so a
     # module-level import of repro.sim.profiling would be circular on
@@ -142,25 +151,40 @@ def batch_allocate(
     makes the scalar ``allocate`` bitwise equal to the batch form, and
     it skips the batch form's fixed per-call cost — the common case of
     a ``/route`` request fed alone.
+
+    Shapes are validated once, before either path runs: ``demand``
+    ``(T, n_states)``, ``prices`` ``(T, n_clusters)`` and ``limits``
+    ``(n_clusters,)`` or ``(T, n_clusters)``, with one cluster count
+    between prices and limits.
+
+    Raises
+    ------
+    ConfigurationError
+        If the shapes disagree.
     """
     demand = np.asarray(demand, dtype=float)
+    prices = np.asarray(prices, dtype=float)
+    limits = np.asarray(limits, dtype=float)
     if demand.ndim != 2:
         raise ConfigurationError(f"batch demand must be 2-D, got shape {demand.shape}")
-    batch = getattr(router, "allocate_batch", None)
-    if batch is not None and demand.shape[0] != 1:
-        return batch(demand, prices, limits)
     n_steps = demand.shape[0]
-    prices = np.asarray(prices, dtype=float)
     if prices.ndim != 2 or prices.shape[0] != n_steps:
         raise ConfigurationError(
             f"batch prices must be ({n_steps}, n_clusters), got shape {prices.shape}"
         )
-    limits = np.asarray(limits, dtype=float)
     if limits.ndim not in (1, 2) or (limits.ndim == 2 and limits.shape[0] != n_steps):
         raise ConfigurationError(
             f"batch limits must be (n_clusters,) or ({n_steps}, n_clusters), "
             f"got shape {limits.shape}"
         )
+    if limits.shape[-1] != prices.shape[1]:
+        raise ConfigurationError(
+            f"batch prices cover {prices.shape[1]} clusters but limits cover "
+            f"{limits.shape[-1]}"
+        )
+    batch = getattr(router, "allocate_batch", None)
+    if batch is not None and n_steps != 1:
+        return batch(demand, prices, limits)
     n_clusters = limits.shape[-1]
     # Shared limits are handed to every step as the same preallocated
     # row — no (T, C) broadcast materialisation, and the shape checks
@@ -234,11 +258,9 @@ def greedy_fill(
     InfeasibleAllocationError
         If total demand exceeds the summed limits.
     """
-    n_states = demand.shape[0]
-    n_clusters = limits.shape[0]
     total_demand = float(demand.sum())
-    total_limit = float(np.sum(limits[np.isfinite(limits)])) + (
-        np.inf if np.any(np.isinf(limits)) else 0.0
+    total_limit = float(limits[np.isfinite(limits)].sum()) + (
+        np.inf if np.isinf(limits).any() else 0.0
     )
     if total_demand > total_limit + 1e-6:
         raise InfeasibleAllocationError(
@@ -246,39 +268,96 @@ def greedy_fill(
         )
 
     demand = np.asarray(demand)
-    allocation = np.zeros((n_states, n_clusters))
-    headroom = np.array(limits, dtype=float)
     order = state_order if state_order is not None else np.argsort(-demand)
+    allocation = np.zeros((demand.shape[0], limits.shape[0]))
+    cells: list[int] = []
+    takes: list[float] = []
+    _spill_walk(
+        np.asarray(demand, dtype=float).tolist(),
+        preference_orders,
+        np.array(limits, dtype=float).tolist(),
+        np.asarray(order).tolist(),
+        cells,
+        takes,
+        fallback_rest=fallback_rest,
+    )
+    np.put(allocation, cells, takes)
+    return allocation
 
+
+def _spill_walk(
+    demand: list[float],
+    preference_orders,
+    headroom: list[float],
+    order: list[int],
+    cells: list[int],
+    takes: list[float],
+    *,
+    fallback_rest: list[np.ndarray] | None = None,
+    offset: int = 0,
+    where: str = "",
+) -> None:
+    """The greedy spill of one step, on Python floats and lists.
+
+    numpy float64 and Python float are the same IEEE-754 double, so
+    every comparison, ``min`` and subtraction here rounds exactly as it
+    would on numpy scalars, without the per-element boxing.
+
+    ``headroom`` is consumed in place. Each positive take is appended
+    as its flat allocation index (``offset + state * n_clusters +
+    cluster``) to ``cells`` and its amount to ``takes``, for one
+    scatter into a zeroed tensor. A state takes from a cluster at most
+    once: a take either places the rest of the state (the walk moves
+    on) or drains the cluster to exactly zero headroom (``h - h``), so
+    later visits take nothing. The scatter therefore writes each cell
+    once, and ``0.0 + take`` is ``take``. ``where`` suffixes the error
+    message (the batched caller names the step).
+    """
+    n_clusters = len(headroom)
+    add_cell = cells.append
+    add_take = takes.append
     for s in order:
-        remaining = float(demand[s])
+        remaining = demand[s]
         if remaining <= 0.0:
             continue
-        for c in preference_orders[s]:
+        row = offset + s * n_clusters
+        prefs = preference_orders[s]
+        if isinstance(prefs, np.ndarray):
+            prefs = prefs.tolist()
+        # ``h if h < remaining else remaining`` is ``min(remaining, h)``,
+        # ties and NaN included, minus the builtin call.
+        for c in prefs:
             if remaining <= 0.0:
                 break
-            take = min(remaining, headroom[c])
+            h = headroom[c]
+            take = h if h < remaining else remaining
             if take <= 0.0:
                 continue
-            allocation[s, c] += take
-            headroom[c] -= take
+            add_cell(row + c)
+            add_take(take)
+            headroom[c] = h - take
             remaining -= take
         if remaining > 1e-9:
-            rest = fallback_rest[s] if fallback_rest is not None else None
-            for c in _fallback_order(preference_orders[s], headroom, rest):
-                take = min(remaining, headroom[c])
+            if fallback_rest is not None:
+                rest = fallback_rest[s]
+            else:
+                listed = set(prefs)
+                rest = np.array([c for c in range(n_clusters) if c not in listed], dtype=np.intp)
+            for c in _fallback_order(prefs, np.array(headroom), rest).tolist():
+                h = headroom[c]
+                take = h if h < remaining else remaining
                 if take <= 0.0:
                     continue
-                allocation[s, c] += take
-                headroom[c] -= take
+                add_cell(row + c)
+                add_take(take)
+                headroom[c] = h - take
                 remaining -= take
                 if remaining <= 0.0:
                     break
         if remaining > 1e-6:
             raise InfeasibleAllocationError(
-                f"could not place {remaining:.1f} hits/s for state index {s}"
+                f"could not place {remaining:.1f} hits/s for state index {s}{where}"
             )
-    return allocation
 
 
 def _fallback_order(
@@ -323,16 +402,22 @@ def greedy_fill_batch(
     """Vectorised-over-time :func:`greedy_fill` for a run of steps.
 
     Runs the same greedy spill as :func:`greedy_fill` on every step of
-    a batch, but loops over (state rank x preference position) instead
-    of time, so each inner operation is an O(T) array op. The result is
-    numerically identical, step for step, to calling
-    :func:`greedy_fill` once per step: every take performs the same
-    ``min``/subtract sequence on the same operands in the same order.
+    a batch. The feasibility check is vectorised over the batch; the
+    spill itself takes one of two walks, both numerically identical,
+    step for step, to calling :func:`greedy_fill` once per step (every
+    take performs the same ``min``/subtract sequence on the same
+    operands in the same order):
 
-    The inner walk is allocation-free: index arithmetic runs in int32
-    scratch buffers whenever the flat allocation span fits (always, at
-    paper scale), dead rows are compacted away once a rank's live set
-    halves, and takes scatter straight into the output tensor.
+    - fewer than ``_VECTOR_WALK_MIN_STEPS`` steps: the scalar walk on
+      Python floats, once per step, with one scatter of all takes;
+    - more: a walk over (state rank x preference position) instead of
+      time, so each inner operation is an O(T) array op. Its fixed
+      cost of ~12 numpy calls per (rank, position) is what the short
+      batches avoid. The inner walk is allocation-free: index
+      arithmetic runs in int32 scratch buffers whenever the flat
+      allocation span fits (always, at paper scale), dead rows are
+      compacted away once a rank's live set halves, and takes scatter
+      straight into the output tensor.
 
     Parameters
     ----------
@@ -375,28 +460,67 @@ def greedy_fill_batch(
     prefs = np.asarray(preference_orders)
     limits = np.asarray(limits, dtype=float)
     n_clusters = limits.shape[-1]
-    headroom = np.array(np.broadcast_to(limits, (n_steps, n_clusters)))
+    headroom = np.empty((n_steps, n_clusters))
+    headroom[...] = limits
 
     finite = np.isfinite(headroom)
     totals = demand.sum(axis=1)
     total_limits = np.where(
-        np.all(finite, axis=1),
-        np.sum(np.where(finite, headroom, 0.0), axis=1),
+        finite.all(axis=1),
+        np.where(finite, headroom, 0.0).sum(axis=1),
         np.inf,
     )
     infeasible = totals > total_limits + 1e-6
-    if np.any(infeasible):
+    if infeasible.any():
         t = int(np.argmax(infeasible))
         raise InfeasibleAllocationError(
             f"demand {totals[t]:.0f} hits/s exceeds total limit "
             f"{total_limits[t]:.0f} at step {t}"
         )
 
-    order = state_order if state_order is not None else np.argsort(-demand, axis=1)
+    order = state_order if state_order is not None else (-demand).argsort(axis=1)
     with _profiling().phase("greedy_repair"):
+        if n_steps < _VECTOR_WALK_MIN_STEPS:
+            return _walk_each_step(demand, prefs, headroom, order, out, out_rows)
         return _greedy_fill_batch_numpy(
             demand, prefs, headroom, order, distinct_prefs, out, out_rows
         )
+
+
+def _walk_each_step(
+    demand: np.ndarray,
+    prefs: np.ndarray,
+    headroom: np.ndarray,
+    order: np.ndarray,
+    out: np.ndarray | None,
+    out_rows: np.ndarray | None,
+) -> np.ndarray:
+    """:func:`_spill_walk` once per step, for fills too short to vectorise."""
+    n_steps, n_states = demand.shape
+    n_clusters = headroom.shape[1]
+    if out is None:
+        out = np.zeros((n_steps, n_states, n_clusters))
+        out_rows = range(n_steps)
+    elif not out.flags.c_contiguous:
+        raise ConfigurationError("greedy_fill_batch out tensor must be C-contiguous")
+    shared = prefs.tolist() if prefs.ndim == 2 else None
+    heads = headroom.tolist()
+    orders = np.asarray(order).tolist()
+    cells: list[int] = []
+    takes: list[float] = []
+    for i, (row, out_row) in enumerate(zip(demand.tolist(), out_rows)):
+        _spill_walk(
+            row,
+            shared if shared is not None else prefs[i].tolist(),
+            heads[i],
+            orders[i],
+            cells,
+            takes,
+            offset=int(out_row) * n_states * n_clusters,
+            where=f" at step {i}",
+        )
+    np.put(out, cells, takes)
+    return out
 
 
 def _greedy_fill_batch_numpy(

@@ -115,12 +115,12 @@ class JointOptimizationRouter:
             loads = np.bincount(preferred, weights=demand, minlength=self._problem.n_clusters)
             utilization = loads / capacities
 
-        scores = self._scores(prices, utilization)
-        if np.all(loads <= limits + 1e-9):
+        if (loads <= limits + 1e-9).all():
             allocation = np.zeros((self._problem.n_states, self._problem.n_clusters))
             allocation[np.arange(self._problem.n_states), preferred] = demand
             return allocation
-        orders = [np.argsort(scores[s]) for s in range(self._problem.n_states)]
+        scores = self._scores(prices, utilization)
+        orders = np.argsort(scores, axis=1).tolist()
         return greedy_fill(demand, orders, limits, fallback_rest=self._fallback_rest)
 
     def _scores_batch(self, prices: np.ndarray, projected_utilization: np.ndarray) -> np.ndarray:
@@ -177,7 +177,6 @@ class JointOptimizationRouter:
         n_states = self._problem.n_states
         n_clusters = self._problem.n_clusters
         limits = np.asarray(limits, dtype=float)
-        step_limits = np.broadcast_to(limits, (n_steps, n_clusters))
 
         capacities = self._problem.deployment.capacities
         rows = np.arange(n_steps)
@@ -212,11 +211,12 @@ class JointOptimizationRouter:
         ).reshape(n_steps, n_clusters)
         utilization = loads / capacities[None, :]
 
-        fits = np.all(loads <= step_limits + 1e-9, axis=1)
+        fits = (loads <= limits + 1e-9).all(axis=1)
         allocation = np.zeros((n_steps, n_states, n_clusters))
-        fast = np.flatnonzero(fits)
-        allocation[fast[:, None], np.arange(n_states)[None, :], preferred[fast]] = demand[fast]
-        spill = np.flatnonzero(~fits)
+        fast = fits.nonzero()[0]
+        if fast.size:
+            allocation[fast[:, None], np.arange(n_states)[None, :], preferred[fast]] = demand[fast]
+        spill = (~fits).nonzero()[0]
         if spill.size:
             # Only the violating steps pay for the final re-score and
             # the full argsort orders; elementwise the scores are the
@@ -232,7 +232,7 @@ class JointOptimizationRouter:
             greedy_fill_batch(
                 demand[spill],
                 orders,
-                step_limits[spill],
+                limits[spill] if limits.ndim == 2 else limits,
                 distinct_prefs=True,
                 out=allocation,
                 out_rows=spill,

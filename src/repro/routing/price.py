@@ -82,6 +82,7 @@ class PriceConsciousRouter:
             self._mask[s, cands] = True
         self._masked_distance = np.where(self._mask, distances, np.inf)
         self._candidate_counts = np.array([c.size for c in self._candidates])
+        self._padding = np.arange(problem.n_clusters)[None, :] >= self._candidate_counts[:, None]
         # Scalar-path fallback tables: the spill pass can only draw
         # from each state's non-candidate clusters, whose set is fixed
         # at construction even though prices reorder the candidates.
@@ -92,24 +93,6 @@ class PriceConsciousRouter:
         """Per-state candidate cluster indices (copies)."""
         return [c.copy() for c in self._candidates]
 
-    def _preference(self, state: int, prices: np.ndarray) -> np.ndarray:
-        """Candidates ordered by (price bucket, distance).
-
-        Prices within ``price_threshold`` of the candidate minimum form
-        the cheap bucket; within the bucket, closer wins. Spill
-        continues to pricier candidates in the same ordering.
-        """
-        cands = self._candidates[state]
-        p = prices[cands]
-        d = self._distances[state, cands]
-        cheap_cutoff = p.min() + self.price_threshold
-        # Two-level sort: bucket index first (0 = cheap), then price,
-        # then distance. np.lexsort sorts by the *last* key first.
-        bucket = (p > cheap_cutoff).astype(int)
-        within_bucket_price = np.where(bucket == 0, 0.0, p)
-        order = np.lexsort((d, within_bucket_price, bucket))
-        return cands[order]
-
     def allocate(self, demand: np.ndarray, prices: np.ndarray, limits: np.ndarray) -> np.ndarray:
         """Allocate one step's demand by price within distance limits.
 
@@ -119,19 +102,20 @@ class PriceConsciousRouter:
         """
         n_states, n_clusters = self._mask.shape
         masked_prices = np.where(self._mask, prices[None, :], np.inf)
-        cheapest = masked_prices.min(axis=1)
-        cheap = masked_prices <= (cheapest + self.price_threshold)[:, None]
+        cutoff = masked_prices.min(axis=1) + self.price_threshold
+        cheap = masked_prices <= cutoff[:, None]
         # Within the cheap bucket, the geographically closest wins.
         choice_key = np.where(cheap, self._masked_distance, np.inf)
         preferred = np.argmin(choice_key, axis=1)
 
         loads = np.bincount(preferred, weights=demand, minlength=n_clusters)
-        if np.all(loads <= limits + 1e-9):
+        if (loads <= limits + 1e-9).all():
             allocation = np.zeros((n_states, n_clusters))
             allocation[np.arange(n_states), preferred] = demand
             return allocation
 
-        orders = [self._preference(s, prices) for s in range(n_states)]
+        ranked = self._preference_orders(masked_prices, cutoff).tolist()
+        orders = [row[:k] for row, k in zip(ranked, self._candidate_counts.tolist())]
         return greedy_fill(demand, orders, limits, fallback_rest=self._fallback_rest)
 
     def allocate_batch(
@@ -154,11 +138,10 @@ class PriceConsciousRouter:
         n_steps = demand.shape[0]
         n_states, n_clusters = self._mask.shape
         limits = np.asarray(limits, dtype=float)
-        step_limits = np.broadcast_to(limits, (n_steps, n_clusters))
 
         masked_prices = np.where(self._mask[None, :, :], prices[:, None, :], np.inf)
-        cheapest = masked_prices.min(axis=2)
-        cheap = masked_prices <= (cheapest + self.price_threshold)[:, :, None]
+        cutoff = masked_prices.min(axis=2) + self.price_threshold
+        cheap = masked_prices <= cutoff[:, :, None]
         choice_key = np.where(cheap, self._masked_distance[None, :, :], np.inf)
         preferred = np.argmin(choice_key, axis=2)
 
@@ -168,45 +151,44 @@ class PriceConsciousRouter:
             weights=demand.ravel(),
             minlength=n_steps * n_clusters,
         ).reshape(n_steps, n_clusters)
-        fits = np.all(loads <= step_limits + 1e-9, axis=1)
+        fits = (loads <= limits + 1e-9).all(axis=1)
 
         allocation = np.zeros((n_steps, n_states, n_clusters))
-        fast = np.flatnonzero(fits)
-        allocation[fast[:, None], np.arange(n_states)[None, :], preferred[fast]] = demand[fast]
-        spill = np.flatnonzero(~fits)
+        fast = fits.nonzero()[0]
+        if fast.size:
+            allocation[fast[:, None], np.arange(n_states)[None, :], preferred[fast]] = demand[fast]
+        spill = (~fits).nonzero()[0]
         if spill.size:
-            # The greedy repair writes straight into the allocation
-            # tensor; padded preference rows mean repeats, so the
-            # gather-add-scatter (non-distinct) walk is required.
+            # Positions past a state's candidates repeat its top
+            # candidate — no-op revisits for the batched fill — so
+            # spill beyond the candidate set is left to the fill's
+            # fallback pass, as in the scalar path. Repeats rule out
+            # the distinct-preference scatter.
+            ranked = self._preference_orders(masked_prices[spill], cutoff[spill])
             greedy_fill_batch(
                 demand[spill],
-                self._preference_batch(prices[spill]),
-                step_limits[spill],
+                np.where(self._padding, ranked[:, :, :1], ranked),
+                limits[spill] if limits.ndim == 2 else limits,
                 out=allocation,
                 out_rows=spill,
             )
         return allocation
 
-    def _preference_batch(self, prices: np.ndarray) -> np.ndarray:
-        """Per-step :meth:`_preference` orders as a ``(T, S, C)`` tensor.
+    def _preference_orders(self, masked_prices: np.ndarray, cutoff: np.ndarray) -> np.ndarray:
+        """Every state's clusters ordered by (price bucket, distance).
 
-        The scalar method lexsorts each state's candidate list by
-        (price bucket, price-within-bucket, distance); here the same
-        stable sort runs over the full cluster axis with non-candidates
-        forced into a trailing bucket, which preserves the candidates'
-        relative order exactly. Trailing non-candidate positions are
-        then replaced by repeats of the state's top candidate — no-op
-        revisits for the batched greedy fill — so spill beyond the
-        candidate set is left to the fill's fallback pass, as in the
-        scalar path.
+        Prices within ``price_threshold`` of a state's cheapest
+        candidate (``cutoff``) form the cheap bucket; within it, closer
+        wins, and spill continues to pricier candidates by price, then
+        distance. One stable lexsort over the last axis of the
+        ``(..., n_states, n_clusters)`` candidate-masked prices orders
+        every state of every step at once; non-candidates are forced
+        into a trailing bucket, so each row starts with the state's
+        candidates in preference order.
         """
-        n_states, n_clusters = self._mask.shape
-        masked_prices = np.where(self._mask[None, :, :], prices[:, None, :], np.inf)
-        cheapest = masked_prices.min(axis=2)
-        cheap_cutoff = (cheapest + self.price_threshold)[:, :, None]
-        bucket = np.where(self._mask[None, :, :], (masked_prices > cheap_cutoff).astype(np.int8), 2)
+        bucket = np.where(self._mask, (masked_prices > cutoff[..., None]).astype(np.int8), 2)
         within_bucket_price = np.where(bucket == 0, 0.0, masked_prices)
-        distance_key = np.broadcast_to(self._distances[None, :, :], masked_prices.shape)
-        order = np.lexsort((distance_key, within_bucket_price, bucket), axis=2)
-        padded = np.arange(n_clusters)[None, None, :] >= self._candidate_counts[None, :, None]
-        return np.where(padded, order[:, :, :1], order)
+        distance_key = self._distances
+        if masked_prices.ndim == 3:
+            distance_key = np.broadcast_to(distance_key, masked_prices.shape)
+        return np.lexsort((distance_key, within_bucket_price, bucket), axis=-1)

@@ -7,6 +7,7 @@ including limit regimes tight enough to force the greedy spill and the
 beyond-preference fallback.
 """
 
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InfeasibleAllocationError
+from repro.errors import ConfigurationError, InfeasibleAllocationError
+from repro.routing import base as routing_base
 from repro.routing import (
     BaselineProximityRouter,
     JointOptimizationRouter,
@@ -120,7 +122,7 @@ def test_greedy_fill_batch_matches_scalar(seed):
         ]
     )
     batch = greedy_fill_batch(demand, orders, limits)
-    np.testing.assert_allclose(batch, reference, rtol=0.0, atol=1e-9)
+    np.testing.assert_array_equal(batch, reference)
 
 
 def test_batch_fallback_shim_preserves_order():
@@ -164,3 +166,117 @@ class TestGreedyFillFallbackOrder:
         # Clusters 1 and 2 tie on headroom; the lower index wins.
         assert alloc[0, 1] == 7.0
         assert alloc[0, 2] == 0.0
+
+
+#: Malformed ``batch_allocate`` inputs, each built from a valid
+#: ``(demand, prices, limits)`` triple of ``T`` steps with shared limits.
+BAD_SHAPES = {
+    "demand_1d": lambda d, p, lim: (d[0], p, lim),
+    "prices_wrong_steps": lambda d, p, lim: (d, p[:1] if len(p) > 1 else np.vstack([p, p]), lim),
+    "prices_1d": lambda d, p, lim: (d, p[0], lim),
+    "prices_extra_cluster": lambda d, p, lim: (d, np.hstack([p, p[:, :1]]), lim),
+    "limits_wrong_steps": lambda d, p, lim: (d, p, np.tile(lim, (len(d) + 1, 1))),
+    "limits_3d": lambda d, p, lim: (d, p, np.tile(lim, (len(d), 1))[:, :, None]),
+    "limits_extra_cluster": lambda d, p, lim: (d, p, np.append(lim, lim[0])),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SHAPES))
+@pytest.mark.parametrize("n_steps", (1, 3))
+@pytest.mark.parametrize("kind", ("price", "baseline", "joint"))
+def test_batch_allocate_rejects_bad_shapes(kind, n_steps, bad):
+    """Shapes are checked before dispatch, on the batch path as well as
+    the single-step shim: a batch router never sees, say, one price row
+    for three steps."""
+    demand, prices, limits = BAD_SHAPES[bad](*_inputs(7, n_steps, 1.3))
+    with pytest.raises(ConfigurationError):
+        batch_allocate(_router(kind, 1500.0), demand, prices, limits)
+
+
+@contextmanager
+def _walk(walk: str):
+    """Pin ``greedy_fill_batch`` to one of its two walks for a block."""
+    with pytest.MonkeyPatch.context() as patch:
+        threshold = 1 if walk == "vectorised" else 10**9
+        patch.setattr(routing_base, "_VECTOR_WALK_MIN_STEPS", threshold)
+        yield
+
+
+def _quantised_limits(rng, demand, n_clusters, shared):
+    """Integer ceilings built to hit the walk's edge cases: zero limits,
+    limits equal to an exact partial sum of one step's demand (so a
+    ``remaining == headroom`` tie or an exact drain occurs), and one
+    roomy cluster topping the total up to feasibility."""
+    rows = 1 if shared else demand.shape[0]
+    limits = np.zeros((rows, n_clusters))
+    for t in range(rows):
+        step = demand[t] if not shared else demand[int(rng.integers(len(demand)))]
+        for c in range(n_clusters):
+            mode = int(rng.integers(3))
+            if mode == 1:
+                pick = rng.random(step.shape[0]) < 0.4
+                limits[t, c] = float(step[pick].sum())
+            elif mode == 2:
+                limits[t, c] = float(rng.integers(0, 12)) * float(step.max(initial=1.0))
+        need = (demand.sum(axis=1).max() if shared else demand[t].sum()) - limits[t].sum()
+        if need > 0:
+            limits[t, int(rng.integers(n_clusters))] += need
+    return limits[0] if shared else limits
+
+
+@pytest.mark.parametrize("walk", ("per_step", "vectorised"))
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_steps=st.sampled_from((1, 2, 3, 8)),
+    shared=st.booleans(),
+    padded=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_greedy_fill_quantised_ties(walk, seed, n_steps, shared, padded):
+    """Bitwise batch == scalar on integer inputs, where ties and exact
+    drains are common: zero-demand states, zero limits, limits equal to
+    exact partial sums; partial preference lists (padded with repeats
+    of their first cluster for the batch form) reach the fallback."""
+    rng = np.random.default_rng(seed)
+    n_states = int(rng.integers(1, 9))
+    n_clusters = int(rng.integers(1, 6))
+    demand = rng.integers(0, 7, (n_steps, n_states)) * (rng.random((n_steps, n_states)) < 0.8)
+    demand = demand.astype(float)
+    limits = _quantised_limits(rng, demand, n_clusters, shared)
+    perms = np.stack([rng.permutation(n_clusters) for _ in range(n_states)])
+    listed = rng.integers(1, n_clusters + 1, n_states) if padded else np.full(n_states, n_clusters)
+    lists = [perms[s, : listed[s]] for s in range(n_states)]
+    matrix = np.where(np.arange(n_clusters)[None, :] >= listed[:, None], perms[:, :1], perms)
+    step_limits = np.broadcast_to(limits, (n_steps, n_clusters))
+    reference = np.stack([greedy_fill(demand[t], lists, step_limits[t]) for t in range(n_steps)])
+    with _walk(walk):
+        np.testing.assert_array_equal(greedy_fill_batch(demand, matrix, limits), reference)
+
+
+@pytest.mark.parametrize("walk", ("per_step", "vectorised"))
+@pytest.mark.parametrize("kind", ("price", "baseline", "joint"))
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_steps=st.sampled_from((1, 2, 3, 8)),
+    shared=st.booleans(),
+    threshold_km=st.sampled_from((0.0, 800.0, 1500.0)),
+)
+@settings(max_examples=20, deadline=None)
+def test_routers_quantised_ties(walk, kind, seed, n_steps, shared, threshold_km):
+    """Each router's ``allocate`` equals its ``allocate_batch`` and
+    ``batch_allocate`` bitwise on integer demand, integer prices (so
+    price buckets tie) and quantised limits, shared or per step."""
+    problem = _problem()
+    rng = np.random.default_rng(seed)
+    demand = rng.integers(0, 5, (n_steps, problem.n_states)) * 1000.0
+    demand *= rng.random(demand.shape) < 0.7
+    prices = rng.integers(15, 60, (n_steps, problem.n_clusters)).astype(float)
+    limits = _quantised_limits(rng, demand, problem.n_clusters, shared)
+    router = _router(kind, threshold_km)
+    step_limits = np.broadcast_to(limits, (n_steps, problem.n_clusters))
+    reference = np.stack(
+        [router.allocate(demand[t], prices[t], step_limits[t]) for t in range(n_steps)]
+    )
+    with _walk(walk):
+        np.testing.assert_array_equal(router.allocate_batch(demand, prices, limits), reference)
+        np.testing.assert_array_equal(batch_allocate(router, demand, prices, limits), reference)
