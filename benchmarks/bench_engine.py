@@ -125,7 +125,7 @@ def bench_sweep(jobs: int) -> dict:
         # run() pipeline (stacking neutered), for the stacked-path
         # speedup.
         real = runner._execute_stacked
-        runner._execute_stacked = lambda group: None
+        runner._execute_stacked = lambda group, *args: None
         try:
             scenarios.clear_caches()
             t0 = time.perf_counter()

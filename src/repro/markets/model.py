@@ -242,28 +242,33 @@ def _level(
 
 
 def ar1_filter(innovations: np.ndarray, phi: float, sigma: float) -> np.ndarray:
-    """Stationary AR(1) process driven by given standard-normal shocks.
+    """Stationary AR(1) processes driven by given standard-normal shocks.
 
-    The output has (asymptotic) marginal standard deviation ``sigma``;
-    the first sample is drawn from the stationary distribution so there
-    is no burn-in transient.
+    Filters along the last axis, so a ``(..., n)`` stack of shock rows
+    yields as many independent series in one call. Each output has
+    (asymptotic) marginal standard deviation ``sigma``; its first
+    sample is drawn from the stationary distribution so there is no
+    burn-in transient.
     """
     if not 0.0 <= phi < 1.0:
         raise ValueError(f"phi must be in [0, 1), got {phi}")
+    if sigma < 0.0:
+        raise ValueError(f"sigma must be non-negative, got {sigma}")
     innovation_scale = sigma * np.sqrt(1.0 - phi * phi)
     out = np.empty_like(innovations, dtype=float)
     if out.size == 0:
         return out
-    out[0] = innovations[0] * sigma
-    scaled = innovations[1:] * innovation_scale
-    prev = out[0]
+    out[..., 0] = innovations[..., 0] * sigma
+    # The scaled shocks go straight into ``out``: one large temporary
+    # fewer when many long series are filtered at once.
+    tail = out[..., 1:]
+    np.multiply(innovations[..., 1:], innovation_scale, out=tail)
     # y[t] = phi*y[t-1] + e[t] as a linear recursive filter. The
     # closed form (cumulative sum of e / phi^t) is numerically unstable
     # for long series, so this uses scipy's compiled lfilter.
     from scipy.signal import lfilter
 
-    rest = lfilter([1.0], [1.0, -phi], scaled, zi=[phi * prev])[0]
-    out[1:] = rest
+    tail[...] = lfilter([1.0], [1.0, -phi], tail, axis=-1, zi=phi * out[..., :1])[0]
     return out
 
 

@@ -524,11 +524,10 @@ def _stackable(scenario: Scenario) -> bool:
     )
 
 
-def _execute_stacked(group: list[Scenario]) -> None:
-    """Run one stack group through :func:`simulate_many`, park results."""
+def _execute_stacked(group: list[Scenario], traces: list[TrafficTrace]) -> None:
+    """Run one stack group over its replicas' traces, park results."""
     first = group[0]
     data, prob, options, server_counts = _engine_inputs(first)
-    traces = [trace(s.trace, s.market) for s in group]
     results = simulate_many(traces, data, prob, build_router(first), options, server_counts)
     for scenario, result in zip(group, results):
         _stacked_results[scenario] = result
@@ -541,7 +540,8 @@ def run_many(specs: Iterable[Scenario]) -> tuple[SimulationResult, ...]:
     seeded replicas, or the replicas' shared baselines — are routed
     through :func:`repro.sim.engine.simulate_many` as one stacked pass
     (one price/limit precompute, fused routing calls) instead of N
-    full :func:`run` pipelines. Everything else — already-memoised
+    full :func:`run` pipelines, and every stack in the call shares one
+    build of each trace it replays. Everything else — already-memoised
     scenarios, scenarios the artifact store already holds,
     non-stackable configurations, singleton stacks — flows through the
     ordinary :func:`run` path. Results are bit-identical either way —
@@ -564,9 +564,14 @@ def run_many(specs: Iterable[Scenario]) -> tuple[SimulationResult, ...]:
     for scenario in pending:
         if _stackable(scenario):
             stacks.setdefault(_stack_key(scenario), []).append(scenario)
-    for group in stacks.values():
-        if len(group) >= 2:
-            _execute_stacked(group)
+    groups = [group for group in stacks.values() if len(group) >= 2]
+    # A cell's replicas and their baselines replay the same trace seeds,
+    # more of them than the trace memo holds: build each trace once here
+    # and hand the same object to every stack that replays it.
+    keys = dict.fromkeys((s.trace, s.market) for group in groups for s in group)
+    built = {key: trace(*key) for key in keys}
+    for group in groups:
+        _execute_stacked(group, [built[s.trace, s.market] for s in group])
 
     return tuple(run(scenario) for scenario in runs)
 

@@ -146,11 +146,12 @@ class DemandModel:
         shape = self.diurnal_factor(hour) * self.weekly_factor(dow)[:, None]
         base = cfg.us_peak_hits * self._shares[None, :] * shape
 
-        # Slow multiplicative jitter, independent across states.
-        noise = np.empty((n, len(self._states)))
-        for j in range(len(self._states)):
-            log_jitter = ar1_filter(rng.standard_normal(n), cfg.noise_phi, cfg.noise_sigma)
-            noise[:, j] = np.exp(log_jitter - cfg.noise_sigma**2 / 2.0)
+        # Slow multiplicative jitter, independent across states: one
+        # row of shocks per state (the same stream as one draw of n per
+        # state in turn), filtered in a single call.
+        shocks = rng.standard_normal((len(self._states), n))
+        log_jitter = ar1_filter(shocks, cfg.noise_phi, cfg.noise_sigma)
+        noise = np.exp(log_jitter - cfg.noise_sigma**2 / 2.0).T
 
         demand = base * noise
         self._apply_flash_crowds(demand, rng, step_seconds)

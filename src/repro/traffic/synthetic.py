@@ -18,7 +18,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.traffic.demand import DemandModel, DemandModelConfig
 from repro.traffic.trace import TrafficTrace
-from repro.units import FIVE_MINUTES, SECONDS_PER_DAY
+from repro.units import DAYS_PER_WEEK, FIVE_MINUTES, SECONDS_PER_DAY
 
 __all__ = ["TraceConfig", "make_trace", "make_turn_of_year_trace", "PAPER_TRACE_START"]
 
@@ -47,6 +47,10 @@ class TraceConfig:
             raise ConfigurationError("trace needs at least one step")
         if self.step_seconds < 1:
             raise ConfigurationError("step must be positive")
+        if self.step_seconds > DAYS_PER_WEEK * SECONDS_PER_DAY:
+            # Flash crowds arrive at a weekly rate, counted in whole
+            # steps per week.
+            raise ConfigurationError(f"step must be at most one week, got {self.step_seconds} s")
 
 
 def make_trace(config: TraceConfig | None = None) -> TrafficTrace:

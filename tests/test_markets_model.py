@@ -59,6 +59,33 @@ class TestAr1Filter:
     def test_empty_input(self):
         assert ar1_filter(np.array([]), phi=0.5, sigma=1.0).size == 0
 
+    @pytest.mark.parametrize("shape", [(10,), (3, 10)])
+    def test_invalid_phi_and_sigma_for_any_rank(self, shape):
+        with pytest.raises(ValueError, match="phi"):
+            ar1_filter(np.zeros(shape), phi=-0.1, sigma=1.0)
+        with pytest.raises(ValueError, match="sigma"):
+            ar1_filter(np.zeros(shape), phi=0.5, sigma=-1.0)
+
+    @pytest.mark.parametrize("shape", [(1,), (4, 1)])
+    def test_single_sample_is_scaled_shock(self, shape):
+        shocks = np.random.default_rng(3).standard_normal(shape)
+        out = ar1_filter(shocks, phi=0.9, sigma=2.5)
+        assert out.shape == shape
+        assert np.array_equal(out, shocks * 2.5)
+
+    @given(
+        n_rows=st.integers(1, 60),
+        n=st.integers(1, 400),
+        phi=st.floats(0.0, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_rows_equal_row_by_row_loop(self, n_rows, n, phi, seed):
+        shocks = np.random.default_rng(seed).standard_normal((n_rows, n))
+        batched = ar1_filter(shocks, phi, 0.06)
+        looped = np.stack([ar1_filter(row, phi, 0.06) for row in shocks])
+        assert batched.tobytes() == looped.tobytes()
+
 
 class TestFuelTrend:
     def test_hump_peaks_mid_2008(self, calendar):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro import artifacts, scenarios, sweeps
 from repro.scenarios import runner
-from repro.sweeps.spec import expand
+from repro.sweeps.spec import SweepAxis, expand
 
 
 def _store_bytes(root):
@@ -55,9 +55,9 @@ class TestJointSweepParallelEquivalence:
         stacked_groups = []
         real = runner._execute_stacked
 
-        def spy(group):
+        def spy(group, *args):
             stacked_groups.append(len(group))
-            return real(group)
+            return real(group, *args)
 
         monkeypatch.setattr(runner, "_execute_stacked", spy)
         scenarios.clear_caches()
@@ -78,7 +78,7 @@ class TestStackedMatchesPreRefactorExecution:
         scenarios.clear_caches()
         stacked = sweeps.run_sweep(spec)
 
-        monkeypatch.setattr(runner, "_execute_stacked", lambda group: None)
+        monkeypatch.setattr(runner, "_execute_stacked", lambda group, *args: None)
         artifacts.configure(tmp_path / "plain")
         scenarios.clear_caches()
         plain = sweeps.run_sweep(spec)
@@ -86,6 +86,56 @@ class TestStackedMatchesPreRefactorExecution:
 
         assert stacked == plain
         assert _store_bytes(tmp_path / "stacked") == _store_bytes(tmp_path / "plain")
+
+
+def _campaign_slice(n_cells: int):
+    """``campaign-grid`` cut to ``n_cells`` price cells, all its replicas."""
+    grid = sweeps.get("campaign-grid")
+    distance, price = grid.axes
+    return grid.derive(
+        name="campaign-grid-trace-count",
+        axes=(
+            SweepAxis(distance.name, distance.values[:1], distance.target),
+            SweepAxis(price.name, price.values[:n_cells], price.target),
+        ),
+    )
+
+
+def _count_trace_builds(monkeypatch) -> list[int]:
+    builds = [0]
+    real = runner.make_trace
+
+    def counting(*args, **kwargs):
+        builds[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "make_trace", counting)
+    return builds
+
+
+class TestTraceBuildsPerWorkGroup:
+    """A cell's replicas and their baselines replay the same trace seeds.
+    Each work group builds each of them once, even when there are more
+    replicas than the trace memo has slots."""
+
+    def test_one_run_many_builds_each_replica_trace_once(self, monkeypatch):
+        spec = _campaign_slice(1)
+        assert spec.n_replicas > runner.trace.cache_info().maxsize
+        cell = [point.scenario for point in expand(spec)]
+        baselines = [scenarios.baseline_scenario(s.market, s.trace, s.provider) for s in cell]
+        scenarios.clear_caches()
+        builds = _count_trace_builds(monkeypatch)
+        scenarios.run_many(cell + baselines)
+        assert builds[0] == spec.n_replicas
+
+    def test_two_cell_campaign_builds_each_trace_once_per_group(self, monkeypatch):
+        spec = _campaign_slice(2)
+        scenarios.clear_caches()
+        builds = _count_trace_builds(monkeypatch)
+        sweeps.run_sweep(spec)
+        # Two work groups (one per cell), each building every replica
+        # seed once; the second group's baselines are already memoised.
+        assert builds[0] == 2 * spec.n_replicas
 
 
 class TestArtifactHashPins:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.markets.model import ar1_filter
 from repro.traffic.demand import DemandModel, DemandModelConfig
 
 
@@ -105,6 +108,41 @@ class TestSampling:
     def test_mismatched_axes_rejected(self, model):
         with pytest.raises(ConfigurationError):
             model.sample(np.zeros(10), np.zeros(5, dtype=int), np.random.default_rng(0))
+
+    @given(
+        n=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+        phi=st.floats(0.0, 0.999),
+        sigma=st.floats(0.0, 0.3),
+        step_minutes=st.sampled_from([1, 5, 60]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sample_equals_per_state_loop(self, n, seed, phi, sigma, step_minutes):
+        model = DemandModel(DemandModelConfig(noise_phi=phi, noise_sigma=sigma))
+        hours = (np.arange(n) * step_minutes / 60.0) % 24.0
+        dow = ((np.arange(n) * step_minutes / 60.0) // 24.0).astype(int) % 7
+        step_seconds = step_minutes * 60
+        sampled = model.sample(hours, dow, np.random.default_rng(seed), step_seconds)
+        oracle = _per_state_loop_sample(
+            model, hours, dow, np.random.default_rng(seed), step_seconds
+        )
+        assert sampled.tobytes() == oracle.tobytes()
+
+
+def _per_state_loop_sample(model, hours, dow, rng, step_seconds):
+    """``DemandModel.sample`` as it was written before the batched filter:
+    one shock draw, one AR(1) filter and one ``exp`` per state in turn."""
+    cfg = model.config
+    n = hours.size
+    shape = model.diurnal_factor(hours) * model.weekly_factor(dow)[:, None]
+    base = cfg.us_peak_hits * model.shares[None, :] * shape
+    noise = np.empty((n, len(model.states)))
+    for j in range(len(model.states)):
+        log_jitter = ar1_filter(rng.standard_normal(n), cfg.noise_phi, cfg.noise_sigma)
+        noise[:, j] = np.exp(log_jitter - cfg.noise_sigma**2 / 2.0)
+    demand = base * noise
+    model._apply_flash_crowds(demand, rng, step_seconds)
+    return demand
 
 
 class TestNonUS:

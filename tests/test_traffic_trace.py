@@ -128,3 +128,11 @@ class TestSyntheticTrace:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             TraceConfig(n_steps=0)
+
+    def test_step_longer_than_a_week_is_refused(self):
+        with pytest.raises(ConfigurationError, match="at most one week"):
+            TraceConfig(n_steps=3, step_seconds=8 * 86400)
+
+    def test_one_week_step_still_generates(self):
+        trace = make_trace(TraceConfig(n_steps=3, step_seconds=7 * 86400))
+        assert trace.demand.shape == (3, 49)
