@@ -152,15 +152,16 @@ def batch_allocate(
     it skips the batch form's fixed per-call cost — the common case of
     a ``/route`` request fed alone.
 
-    Shapes are validated once, before either path runs: ``demand``
+    Inputs are validated once, before either path runs: ``demand``
     ``(T, n_states)``, ``prices`` ``(T, n_clusters)`` and ``limits``
     ``(n_clusters,)`` or ``(T, n_clusters)``, with one cluster count
-    between prices and limits.
+    between prices and limits, and no NaN in ``demand`` or ``limits``
+    (the scalar and batched fills would treat a NaN differently).
 
     Raises
     ------
     ConfigurationError
-        If the shapes disagree.
+        If the shapes disagree or ``demand`` or ``limits`` holds NaN.
     """
     demand = np.asarray(demand, dtype=float)
     prices = np.asarray(prices, dtype=float)
@@ -182,6 +183,8 @@ def batch_allocate(
             f"batch prices cover {prices.shape[1]} clusters but limits cover "
             f"{limits.shape[-1]}"
         )
+    if np.isnan(demand).any() or np.isnan(limits).any():
+        raise ConfigurationError("batch demand and limits must not contain NaN")
     batch = getattr(router, "allocate_batch", None)
     if batch is not None and n_steps != 1:
         return batch(demand, prices, limits)

@@ -128,10 +128,18 @@ class PriceConsciousRouter:
 
         The fast path generalises directly: the cheap-bucket /
         closest-within-bucket choice is computed for every step at once
-        as a ``(T, n_states, n_clusters)`` tensor and the per-step
-        loads via one flat bincount over time. Steps whose single-best
-        choice would overflow a limit drop back to the scalar greedy
-        spill, so each step's slice equals ``allocate`` on that step.
+        and the per-step loads via one flat bincount over time. Steps
+        whose single-best choice would overflow a limit drop back to
+        the scalar greedy spill, so each step's slice equals
+        ``allocate`` on that step.
+
+        The choice and the spill preference orders depend on a step's
+        price row alone, and hourly prices repeat over the steps of an
+        hour, so both are computed once per run of consecutive equal
+        price rows (a ``(runs, n_states, n_clusters)`` tensor) and
+        gathered per step. Equal rows give equal comparisons (``-0.0
+        == 0.0`` included); a row holding NaN equals no row and stays
+        a run of its own.
         """
         demand = np.asarray(demand, dtype=float)
         prices = np.asarray(prices, dtype=float)
@@ -139,11 +147,15 @@ class PriceConsciousRouter:
         n_states, n_clusters = self._mask.shape
         limits = np.asarray(limits, dtype=float)
 
-        masked_prices = np.where(self._mask[None, :, :], prices[:, None, :], np.inf)
+        starts = np.empty(n_steps, dtype=bool)
+        starts[:1] = True
+        (prices[1:] != prices[:-1]).any(axis=1, out=starts[1:])
+        run_of = starts.cumsum() - 1
+        masked_prices = np.where(self._mask[None, :, :], prices[starts][:, None, :], np.inf)
         cutoff = masked_prices.min(axis=2) + self.price_threshold
         cheap = masked_prices <= cutoff[:, :, None]
         choice_key = np.where(cheap, self._masked_distance[None, :, :], np.inf)
-        preferred = np.argmin(choice_key, axis=2)
+        preferred = np.argmin(choice_key, axis=2)[run_of]
 
         flat = (np.arange(n_steps)[:, None] * n_clusters + preferred).ravel()
         loads = np.bincount(
@@ -163,11 +175,17 @@ class PriceConsciousRouter:
             # candidate — no-op revisits for the batched fill — so
             # spill beyond the candidate set is left to the fill's
             # fallback pass, as in the scalar path. Repeats rule out
-            # the distinct-preference scatter.
-            ranked = self._preference_orders(masked_prices[spill], cutoff[spill])
+            # the distinct-preference scatter. Orders are built for the
+            # runs holding a spilling step only, and gathered as int32,
+            # the fill's index width at paper scale.
+            spill_run = run_of[spill]
+            ranked_runs = np.zeros(len(masked_prices), dtype=bool)
+            ranked_runs[spill_run] = True
+            ranked = self._preference_orders(masked_prices[ranked_runs], cutoff[ranked_runs])
+            padded = np.where(self._padding, ranked[:, :, :1], ranked).astype(np.int32)
             greedy_fill_batch(
                 demand[spill],
-                np.where(self._padding, ranked[:, :, :1], ranked),
+                padded[(ranked_runs.cumsum() - 1)[spill_run]],
                 limits[spill] if limits.ndim == 2 else limits,
                 out=allocation,
                 out_rows=spill,

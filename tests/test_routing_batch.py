@@ -193,6 +193,42 @@ def test_batch_allocate_rejects_bad_shapes(kind, n_steps, bad):
         batch_allocate(_router(kind, 1500.0), demand, prices, limits)
 
 
+@pytest.mark.parametrize("field", ("limits", "demand"))
+@pytest.mark.parametrize("n_steps", (1, 3))
+@pytest.mark.parametrize("kind", ("price", "baseline", "joint"))
+def test_batch_allocate_rejects_nan(kind, n_steps, field):
+    """NaN in limits or demand is refused before either path runs. The
+    scalar fill skipped a NaN limit and raised on the rest; the batched
+    fill counted the row as unbounded and spread NaN into the takes."""
+    problem = _problem()
+    limits = np.full(problem.n_clusters, 1e5)
+    limits[0] = np.nan
+    limits[1] = 0.0
+    rng = np.random.default_rng(11)
+    demand = rng.random((n_steps, problem.n_states))
+    demand *= 0.9 * problem.n_clusters * 1e5 / demand.sum(axis=1, keepdims=True)
+    prices = rng.random((n_steps, problem.n_clusters)) * 120.0 + 15.0
+    if field == "demand":
+        limits[:2] = 1e5
+        demand[-1, 3] = np.nan
+    with pytest.raises(ConfigurationError, match="NaN"):
+        batch_allocate(_router(kind, 1500.0), demand, prices, limits)
+
+
+@pytest.mark.parametrize("shared", (True, False))
+@pytest.mark.parametrize("kind", ("price", "baseline", "joint"))
+def test_batch_allocate_empty_batch(kind, shared):
+    """A zero-step batch returns an empty ``(0, n_states, n_clusters)``
+    tensor, with shared limits and with per-step limits."""
+    problem = _problem()
+    n_states, n_clusters = problem.n_states, problem.n_clusters
+    limits = np.full(n_clusters, 1e5) if shared else np.empty((0, n_clusters))
+    out = batch_allocate(
+        _router(kind, 1500.0), np.empty((0, n_states)), np.empty((0, n_clusters)), limits
+    )
+    assert out.shape == (0, n_states, n_clusters)
+
+
 @contextmanager
 def _walk(walk: str):
     """Pin ``greedy_fill_batch`` to one of its two walks for a block."""

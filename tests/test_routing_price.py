@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InfeasibleAllocationError
+from repro.routing import base as routing_base
+from repro.routing import price as routing_price
 from repro.routing.base import RoutingProblem
 from repro.routing.price import METRO_RADIUS_KM, PriceConsciousRouter
+from repro.sim import simulate
 from repro.traffic.clusters import akamai_like_deployment
 
 
@@ -126,3 +131,136 @@ class TestAllocation:
         base_alloc = router.allocate(demand, flat, relaxed_limits(problem))
         disc_alloc = router.allocate(demand, discounted, relaxed_limits(problem))
         assert disc_alloc[:, il].sum() > base_alloc[:, il].sum()
+
+
+def _repeated_price_rows(rng, n_steps: int, n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n_steps`` price rows drawn from a few distinct rows, each
+    repeated 1-15 times in a row (a block), rows coming back after
+    others; also each step's block number.
+
+    Integer prices make cheap buckets and sorts tie; zeros and ``inf``
+    prices are mixed in. The first row also comes as a twin with its
+    zeros sign-flipped (equal under ``==``) and as a near twin that
+    differs in one cluster only.
+    """
+    pool = rng.integers(10, 120, (int(rng.integers(1, 5)), n_clusters)).astype(float)
+    special = rng.random(pool.shape)
+    pool[special < 0.15] = 0.0
+    pool[special > 0.92] = np.inf
+    near = pool[0].copy()
+    near[int(rng.integers(n_clusters))] = float(rng.integers(0, 15))
+    pool = np.vstack([pool, np.where(pool[0] == 0.0, -0.0, pool[0]), near])
+    rows: list[int] = []
+    blocks: list[int] = []
+    while len(rows) < n_steps:
+        repeat = int(rng.integers(1, 16))
+        blocks += [blocks[-1] + 1 if blocks else 0] * repeat
+        rows += [int(rng.integers(len(pool)))] * repeat
+    return pool[np.array(rows[:n_steps], dtype=int)], np.array(blocks[:n_steps], dtype=int)
+
+
+def _scalar_replay(router, demand, prices, limits):
+    """Per-step ``allocate`` stacked, or the error class it raised."""
+    n_states, n_clusters = demand.shape[1], prices.shape[1]
+    step_limits = np.broadcast_to(limits, (len(demand), n_clusters))
+    try:
+        rows = [router.allocate(demand[t], prices[t], step_limits[t]) for t in range(len(demand))]
+    except InfeasibleAllocationError:
+        return InfeasibleAllocationError
+    return np.stack(rows) if rows else np.zeros((0, n_states, n_clusters))
+
+
+@pytest.mark.parametrize("walk", ("per_step", "vectorised"))
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_steps=st.integers(0, 60),
+    shared=st.booleans(),
+    tightness=st.sampled_from((0.97, 1.02, 1.3, np.inf)),
+    threshold_km=st.sampled_from((0.0, 800.0, 1500.0, 5000.0)),
+)
+@settings(max_examples=30, deadline=None)
+def test_repeated_price_rows_replay_scalar(
+    problem, walk, seed, n_steps, shared, tightness, threshold_km
+):
+    """``allocate_batch`` over hourly-style repeated price rows equals
+    per-step ``allocate`` byte for byte, or raises as it does."""
+    rng = np.random.default_rng(seed)
+    n_states, n_clusters = problem.n_states, problem.n_clusters
+    prices, block = _repeated_price_rows(rng, n_steps, n_clusters)
+    # Demand scales fourfold between blocks, so under shared limits
+    # some runs fit on the fast path while others spill.
+    demand = rng.integers(0, 5, (n_steps, n_states)) * 1000.0
+    demand *= rng.choice([0.25, 0.5, 1.0], n_steps + 1)[block][:, None]
+    shares = 0.25 + rng.random((1 if shared else n_steps, n_clusters))
+    shares /= shares.sum(axis=1, keepdims=True)
+    totals = demand.sum(axis=1)
+    peak = totals.max(initial=0.0) if shared else totals[:, None]
+    limits = shares * peak * tightness if np.isfinite(tightness) else np.full(shares.shape, np.inf)
+    if shared:
+        limits = limits[0]
+    router = PriceConsciousRouter(problem, threshold_km)
+    expected = _scalar_replay(router, demand, prices, limits)
+    with pytest.MonkeyPatch.context() as patch:
+        threshold = 1 if walk == "vectorised" else 10**9
+        patch.setattr(routing_base, "_VECTOR_WALK_MIN_STEPS", threshold)
+        if expected is InfeasibleAllocationError:
+            with pytest.raises(InfeasibleAllocationError):
+                router.allocate_batch(demand, prices, limits)
+            return
+        batch = router.allocate_batch(demand, prices, limits)
+    assert batch.shape == expected.shape
+    assert batch.tobytes() == expected.tobytes()
+
+
+class TestPreferenceOncePerPriceRun:
+    """Hourly prices repeat over the five-minute steps of an hour; the
+    batch form ranks clusters once per run of equal price rows."""
+
+    def test_spilling_run_after_fitting_run_ranks_by_its_own_row(self, problem):
+        # Everyone wants the cheapest cluster: tiny demand fits there,
+        # full demand spills down the price order, which the middle
+        # run reverses.
+        router = PriceConsciousRouter(problem, 5000.0, price_threshold=0.0)
+        ascending = np.arange(problem.n_clusters) * 10.0 + 10.0
+        prices = np.repeat([ascending, ascending[::-1], ascending], 4, axis=0)
+        demand = np.full((len(prices), problem.n_states), 1000.0)
+        demand[:4] *= 0.01
+        limits = np.full(problem.n_clusters, 1.2 * demand[4].sum() / problem.n_clusters)
+        expected = _scalar_replay(router, demand, prices, limits)
+        assert router.allocate_batch(demand, prices, limits).tobytes() == expected.tobytes()
+
+    def test_simulate_ranks_each_spilling_run_once(
+        self, problem, short_trace, small_dataset, monkeypatch
+    ):
+        calls: list[dict] = []
+        real_batch = PriceConsciousRouter.allocate_batch
+        real_orders = PriceConsciousRouter._preference_orders
+        real_fill = routing_price.greedy_fill_batch
+
+        def batch(self, demand, prices, limits):
+            calls.append({"prices": np.array(prices), "ranked": 0, "spilled": []})
+            return real_batch(self, demand, prices, limits)
+
+        def orders(self, masked_prices, cutoff):
+            calls[-1]["ranked"] += masked_prices.shape[0]
+            return real_orders(self, masked_prices, cutoff)
+
+        def fill(*args, out_rows, **kwargs):
+            calls[-1]["spilled"] = np.asarray(out_rows)
+            return real_fill(*args, out_rows=out_rows, **kwargs)
+
+        monkeypatch.setattr(PriceConsciousRouter, "allocate_batch", batch)
+        monkeypatch.setattr(PriceConsciousRouter, "_preference_orders", orders)
+        monkeypatch.setattr(routing_price, "greedy_fill_batch", fill)
+        simulate(short_trace, small_dataset, problem, PriceConsciousRouter(problem, 1500.0))
+
+        assert calls
+        for call in calls:
+            prices = call["prices"]
+            starts = np.ones(len(prices), dtype=bool)
+            starts[1:] = np.any(prices[1:] != prices[:-1], axis=1)
+            run_of = np.cumsum(starts) - 1
+            assert call["ranked"] == np.unique(run_of[call["spilled"]]).size
+        spilled_steps = sum(len(call["spilled"]) for call in calls)
+        ranked_rows = sum(call["ranked"] for call in calls)
+        assert 0 < ranked_rows < spilled_steps
