@@ -545,24 +545,49 @@ def materialise_dataset(market: "MarketSpec", provider: ProviderSpec) -> MarketD
     read but still publishes, like every other artifact kind; configs
     the codec refuses (non-default price/correlation models) simply
     bypass the cache.
+
+    Raises
+    ------
+    ConfigurationError
+        If any real-time or day-ahead price is NaN (``inf`` is legal):
+        a NaN price makes no cluster cheapest, so the routers would
+        place demand outside their candidate sets.
     """
     from repro import artifacts  # runtime import: artifacts sits above markets
 
     store = artifacts.get_store()
     if store is None:
-        return build_provider(provider).dataset(market)
+        return _refuse_nan_prices(build_provider(provider).dataset(market))
     key = DatasetKey(market=market, provider=provider)
     if not artifacts.refresh_mode():
         payload = store.load(artifacts.KIND_DATASET, key)
         if payload is not None:
             try:
-                return artifacts.decode_market_dataset(payload)
+                dataset = artifacts.decode_market_dataset(payload)
             except (KeyError, ValueError, TypeError):
                 pass  # unreadable record: fall through and rebuild
-    dataset = build_provider(provider).dataset(market)
+            else:
+                return _refuse_nan_prices(dataset)
+    dataset = _refuse_nan_prices(build_provider(provider).dataset(market))
     encoded = artifacts.encode_market_dataset(dataset)
     if encoded is not None:
         store.save(artifacts.KIND_DATASET, key, encoded)
+    return dataset
+
+
+def _refuse_nan_prices(dataset: MarketDataset) -> MarketDataset:
+    """``dataset``, once neither of its price matrices holds a NaN."""
+    for label, matrix in (
+        ("real-time", dataset.price_matrix),
+        ("day-ahead", dataset.day_ahead_matrix),
+    ):
+        nan = np.isnan(matrix)
+        if nan.any():
+            hour, column = (int(i) for i in np.argwhere(nan)[0])
+            raise ConfigurationError(
+                f"{label} price of hub {dataset.hub_codes[column]} is NaN at hour {hour} "
+                f"({dataset.calendar.datetime_at(hour):%Y-%m-%d %H:00})"
+            )
     return dataset
 
 

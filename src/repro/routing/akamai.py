@@ -25,12 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.routing.base import (
-    RoutingProblem,
-    fallback_rest_table,
-    greedy_fill,
-    greedy_fill_batch,
-)
+from repro.routing.base import RoutingProblem, greedy_fill, greedy_fill_batch
 
 __all__ = ["BaselineProximityRouter"]
 
@@ -77,12 +72,8 @@ class BaselineProximityRouter:
         self.balance_slack = balance_slack
         self.min_target_fraction = min_target_fraction
         distances = problem.distances.matrix
-        self._orders = [np.argsort(distances[s]).tolist() for s in range(problem.n_states)]
-        # Rectangular (n_states, n_clusters) view of the same orders
-        # for the batched greedy fill.
-        self._order_matrix = np.vstack(self._orders)
-        # Orders are full argsorts, so the fallback tables are empty.
-        self._fallback_rest = fallback_rest_table(self._orders, problem.n_clusters)
+        # Nearest-first cluster order per state, (n_states, n_clusters).
+        self._order_matrix = np.argsort(distances, axis=1)
         capacities = problem.deployment.capacities
         self._shares = capacities / capacities.sum()
         # Balancing targets only matter at bandwidth-relevant scale; a
@@ -109,7 +100,7 @@ class BaselineProximityRouter:
         # but the external limits may bite; fall back to them alone.
         if float(np.minimum(effective, 1e18).sum()) < total:
             effective = limits
-        return greedy_fill(demand, self._orders, effective, fallback_rest=self._fallback_rest)
+        return greedy_fill(demand, self._order_matrix, effective)
 
     def allocate_batch(
         self,

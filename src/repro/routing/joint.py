@@ -24,14 +24,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.routing.base import (
-    RoutingProblem,
-    fallback_rest_table,
-    greedy_fill,
-    greedy_fill_batch,
-)
+from repro.routing.base import RoutingProblem, greedy_fill, greedy_fill_batch
 
 __all__ = ["JointOptimizationRouter"]
+
+#: Ceiling for an allowed cluster's score (see ``_mask_forbidden``).
+_MAX_SCORE = np.finfo(np.float64).max
 
 
 class JointOptimizationRouter:
@@ -83,11 +81,6 @@ class JointOptimizationRouter:
         else:
             self._forbidden = np.zeros_like(distances, dtype=bool)
         self._has_forbidden = bool(self._forbidden.any())
-        # Scalar-path fallback tables: orders are full argsorts, so the
-        # unlisted-cluster set is empty for every state.
-        self._fallback_rest = fallback_rest_table(
-            [np.arange(problem.n_clusters)] * problem.n_states, problem.n_clusters
-        )
 
     def _scores(self, prices: np.ndarray, projected_utilization: np.ndarray) -> np.ndarray:
         # The quadratic ramp is deliberately unbounded: a cluster
@@ -96,7 +89,18 @@ class JointOptimizationRouter:
         # the re-score pass cannot spread a demand surge.
         congestion = self.congestion_penalty * np.square(projected_utilization)
         scores = prices[None, :] + self._distance_cost + congestion[None, :]
-        return np.where(self._forbidden, np.inf, scores)
+        return self._mask_forbidden(scores) if self._has_forbidden else scores
+
+    def _mask_forbidden(self, scores: np.ndarray) -> np.ndarray:
+        """``scores`` (``(..., n_states, n_clusters)``) with every
+        forbidden cluster at ``inf``.
+
+        Allowed scores are capped at the largest finite float first, so
+        an allowed cluster priced at ``inf`` still ranks ahead of every
+        forbidden one and a state is never placed outside its allowed
+        set while capacity is no object. Finite scores pass unchanged.
+        """
+        return np.where(self._forbidden, np.inf, np.minimum(scores, _MAX_SCORE))
 
     def allocate(self, demand: np.ndarray, prices: np.ndarray, limits: np.ndarray) -> np.ndarray:
         """Two-pass allocation: score, place, re-score, repair.
@@ -120,20 +124,7 @@ class JointOptimizationRouter:
             allocation[np.arange(self._problem.n_states), preferred] = demand
             return allocation
         scores = self._scores(prices, utilization)
-        orders = np.argsort(scores, axis=1).tolist()
-        return greedy_fill(demand, orders, limits, fallback_rest=self._fallback_rest)
-
-    def _scores_batch(self, prices: np.ndarray, projected_utilization: np.ndarray) -> np.ndarray:
-        """:meth:`_scores` over a run: ``(T, C)`` inputs, ``(T, S, C)`` out.
-
-        The summation order per element — ``(price + distance) +
-        congestion`` — matches the scalar method exactly, so the score
-        tensors (and every argmin/argsort derived from them) are
-        bitwise equal to the per-step scores.
-        """
-        congestion = self.congestion_penalty * np.square(projected_utilization)
-        scores = prices[:, None, :] + self._distance_cost[None, :, :] + congestion[:, None, :]
-        return np.where(self._forbidden[None, :, :], np.inf, scores)
+        return greedy_fill(demand, np.argsort(scores, axis=1), limits)
 
     def allocate_batch(
         self,
@@ -155,17 +146,20 @@ class JointOptimizationRouter:
         through :func:`greedy_fill_batch` on ``argsort(axis=-1)``
         orders, which replays the scalar greedy spill take for take.
 
-        Three facts about :meth:`_scores_batch` let the tensor passes
-        shed most of their work without moving a bit:
+        The passes score ``(price + distance) + congestion`` per
+        element in the same order as :meth:`_scores`, so every score
+        (and every argmin/argsort derived from it) is bitwise equal to
+        the per-step one. Three facts let them shed most of their work
+        without moving a bit:
 
         - the ``price + distance`` term is congestion-independent, so
           one ``base`` tensor serves every pass;
         - the first pass's congestion term is exactly zero, and adding
           zero can only flip ``-0.0`` signs — invisible to the argmin
           that is the term's sole consumer — so the add is skipped;
-        - ``np.where(forbidden, inf, .)`` with an all-False mask is an
-          elementwise copy, so it is skipped unless a distance
-          threshold actually forbids something.
+        - :meth:`_mask_forbidden` runs only when a distance threshold
+          actually forbids something, as in :meth:`_scores`, so it never
+          moves a bit of an unconstrained router.
 
         The greedy repair then writes straight into the allocation
         tensor (``out=``/``out_rows``) instead of materialising a
@@ -186,7 +180,7 @@ class JointOptimizationRouter:
 
         # Pass 1: empty system (congestion exactly zero).
         if self._has_forbidden:
-            scores = np.where(self._forbidden[None, :, :], np.inf, base)
+            scores = self._mask_forbidden(base)
         else:
             scores = base
         preferred = np.argmin(scores, axis=2)
@@ -201,7 +195,7 @@ class JointOptimizationRouter:
         congestion = self.congestion_penalty * np.square(utilization)
         scratch = base + congestion[:, None, :]
         if self._has_forbidden:
-            scores = np.where(self._forbidden[None, :, :], np.inf, scratch)
+            scores = self._mask_forbidden(scratch)
         else:
             scores = scratch
         preferred = np.argmin(scores, axis=2)
@@ -225,7 +219,7 @@ class JointOptimizationRouter:
             sub = np.take(base, spill, axis=0, out=scratch[: spill.size])
             np.add(sub, congestion[:, None, :], out=sub)
             if self._has_forbidden:
-                scores = np.where(self._forbidden[None, :, :], np.inf, sub)
+                scores = self._mask_forbidden(sub)
             else:
                 scores = sub
             orders = np.argsort(scores, axis=2)
@@ -233,7 +227,6 @@ class JointOptimizationRouter:
                 demand[spill],
                 orders,
                 limits[spill] if limits.ndim == 2 else limits,
-                distinct_prefs=True,
                 out=allocation,
                 out_rows=spill,
             )

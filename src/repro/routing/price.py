@@ -26,12 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.routing.base import (
-    RoutingProblem,
-    fallback_rest_table,
-    greedy_fill,
-    greedy_fill_batch,
-)
+from repro.routing.base import RoutingProblem, greedy_fill, greedy_fill_batch
 
 __all__ = ["PriceConsciousRouter", "DEFAULT_PRICE_THRESHOLD", "METRO_RADIUS_KM"]
 
@@ -82,11 +77,11 @@ class PriceConsciousRouter:
             self._mask[s, cands] = True
         self._masked_distance = np.where(self._mask, distances, np.inf)
         self._candidate_counts = np.array([c.size for c in self._candidates])
+        # Positions past a state's candidates: the spill orders pad
+        # them with -1 (skipped by the greedy walk), so spill beyond
+        # the candidate set is left to the walk's fallback pass over
+        # the non-candidate clusters.
         self._padding = np.arange(problem.n_clusters)[None, :] >= self._candidate_counts[:, None]
-        # Scalar-path fallback tables: the spill pass can only draw
-        # from each state's non-candidate clusters, whose set is fixed
-        # at construction even though prices reorder the candidates.
-        self._fallback_rest = fallback_rest_table(self._candidates, problem.n_clusters)
 
     @property
     def candidate_sets(self) -> list[np.ndarray]:
@@ -114,9 +109,8 @@ class PriceConsciousRouter:
             allocation[np.arange(n_states), preferred] = demand
             return allocation
 
-        ranked = self._preference_orders(masked_prices, cutoff).tolist()
-        orders = [row[:k] for row, k in zip(ranked, self._candidate_counts.tolist())]
-        return greedy_fill(demand, orders, limits, fallback_rest=self._fallback_rest)
+        ranked = self._preference_orders(masked_prices, cutoff)
+        return greedy_fill(demand, np.where(self._padding, -1, ranked), limits)
 
     def allocate_batch(
         self,
@@ -171,22 +165,19 @@ class PriceConsciousRouter:
             allocation[fast[:, None], np.arange(n_states)[None, :], preferred[fast]] = demand[fast]
         spill = (~fits).nonzero()[0]
         if spill.size:
-            # Positions past a state's candidates repeat its top
-            # candidate — no-op revisits for the batched fill — so
-            # spill beyond the candidate set is left to the fill's
-            # fallback pass, as in the scalar path. Repeats rule out
-            # the distinct-preference scatter. Orders are built for the
-            # runs holding a spilling step only, and gathered as int32,
-            # the fill's index width at paper scale.
+            # Orders are built, and padded as in the scalar path, for
+            # the runs holding a spilling step only; each spilling step
+            # walks its run's block.
             spill_run = run_of[spill]
             ranked_runs = np.zeros(len(masked_prices), dtype=bool)
             ranked_runs[spill_run] = True
             ranked = self._preference_orders(masked_prices[ranked_runs], cutoff[ranked_runs])
-            padded = np.where(self._padding, ranked[:, :, :1], ranked).astype(np.int32)
+            spill_run = (ranked_runs.cumsum() - 1)[spill_run]
             greedy_fill_batch(
                 demand[spill],
-                padded[(ranked_runs.cumsum() - 1)[spill_run]],
+                np.where(self._padding, -1, ranked),
                 limits[spill] if limits.ndim == 2 else limits,
+                preference_rows=spill_run,
                 out=allocation,
                 out_rows=spill,
             )

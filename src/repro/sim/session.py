@@ -62,6 +62,8 @@ class RoutingSession:
     dataset:
         Market prices; every cluster's hub must be present. Typically
         materialised by a :class:`~repro.markets.providers.PriceProvider`.
+        A NaN among the prices the router would see over the horizon
+        is refused with :class:`~repro.errors.ConfigurationError`.
     problem:
         Deployment + distances shared across routers.
     router:
@@ -107,6 +109,13 @@ class RoutingSession:
             step_seconds=int(step_seconds),
             n_steps=int(n_steps),
         )
+        nan = np.isnan(self._horizon.prices)
+        if nan.any():
+            step, cluster = (int(i) for i in np.argwhere(nan)[0])
+            raise ConfigurationError(
+                "the router would see a NaN price for cluster "
+                f"{problem.deployment.clusters[cluster].label} at step {step}"
+            )
         self._ledger = _Ledger(self._horizon)
         self._problem = problem
         self._server_counts = server_counts

@@ -32,6 +32,14 @@ from repro.units import HOURS_PER_DAY
 
 __all__ = ["DemandModelConfig", "DemandModel"]
 
+#: Recently used diurnal curves, least recently used first (see
+#: :meth:`DemandModel.diurnal_factor`); a figure pass or campaign
+#: touches only a handful of distinct hour grids. The curves it keeps
+#: stay under ``_DIURNAL_MEMO_BYTES`` (a 24-day five-minute curve is
+#: 2.7 MB, a year-long one 41 MB); the newest is always kept.
+_DIURNAL_MEMO: dict[tuple, np.ndarray] = {}
+_DIURNAL_MEMO_BYTES = 64 << 20
+
 
 @dataclass(frozen=True, slots=True)
 class DemandModelConfig:
@@ -106,11 +114,36 @@ class DemandModel:
     # -- deterministic shape -------------------------------------------------
 
     def diurnal_factor(self, hour_of_day_utc: np.ndarray) -> np.ndarray:
-        """Diurnal multipliers, shape ``(n_steps, n_states)``.
+        """Diurnal multipliers, shape ``(n_steps, n_states)``, read-only.
 
         Normalised so the curve's maximum is 1.0 (national peak rate
-        scales the whole process).
+        scales the whole process). The curve is a pure function of the
+        model config, the states' UTC offsets and the exact hour grid
+        (the min/max normalisation runs over the whole grid, so it
+        depends on the trace length too); the last few are memoised on
+        exactly those, since every replica of a trace shares its grid.
         """
+        hours = np.asarray(hour_of_day_utc)
+        key = (
+            self._config,
+            self._utc_offsets.tobytes(),
+            hours.dtype.str,
+            hours.shape,
+            hours.tobytes(),
+        )
+        factor = _DIURNAL_MEMO.pop(key, None)
+        if factor is None:
+            factor = self._diurnal_factor(hours)
+            factor.setflags(write=False)
+        _DIURNAL_MEMO[key] = factor
+        while (
+            len(_DIURNAL_MEMO) > 1
+            and sum(curve.nbytes for curve in _DIURNAL_MEMO.values()) > _DIURNAL_MEMO_BYTES
+        ):
+            _DIURNAL_MEMO.pop(next(iter(_DIURNAL_MEMO)), None)
+        return factor
+
+    def _diurnal_factor(self, hour_of_day_utc: np.ndarray) -> np.ndarray:
         cfg = self._config
         local = (hour_of_day_utc[:, None] + self._utc_offsets[None, :]) % HOURS_PER_DAY
         phase = 2 * np.pi * (local - cfg.peak_local_hour) / HOURS_PER_DAY

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import artifacts, scenarios
+from repro.errors import ConfigurationError
 from repro.markets import providers
 from repro.markets.providers import SYNTHETIC, DatasetKey, materialise_dataset, preset
 from repro.scenarios.spec import MarketSpec
@@ -133,3 +134,52 @@ class TestRunnerIntegration:
         calls = _count_generates(monkeypatch)
         scenarios.dataset(MARKET)
         assert calls["n"] == 0
+
+
+def _with_nan(dataset, hour: int, column: int, *, day_ahead: bool = False):
+    """A copy of ``dataset`` with one NaN price."""
+    real_time = dataset.price_matrix.copy()
+    ahead = dataset.day_ahead_matrix.copy()
+    (ahead if day_ahead else real_time)[hour, column] = np.nan
+    return type(dataset)(dataset.config, dataset.calendar, dataset.hubs, real_time, ahead)
+
+
+class TestNanPrices:
+    """A NaN price is refused where a dataset enters, naming hub and hour."""
+
+    @pytest.mark.parametrize("day_ahead", (False, True))
+    def test_built_dataset_with_nan_is_refused(self, monkeypatch, day_ahead):
+        clean = providers.build_provider(SYNTHETIC).dataset(MARKET)
+        broken = _with_nan(clean, 30, 2, day_ahead=day_ahead)
+
+        class Broken:
+            def dataset(self, market):
+                return broken
+
+        monkeypatch.setattr(providers, "build_provider", lambda spec: Broken())
+        feed = "day-ahead" if day_ahead else "real-time"
+        hub = clean.hub_codes[2]
+        message = f"{feed} price of hub {hub} is NaN at hour 30"
+        with pytest.raises(ConfigurationError, match=message):
+            materialise_dataset(MARKET, SYNTHETIC)
+
+    def test_stored_dataset_with_nan_is_refused(self, store):
+        clean = materialise_dataset(MARKET, SYNTHETIC)
+        key = DatasetKey(market=MARKET, provider=SYNTHETIC)
+        encoded = artifacts.encode_market_dataset(_with_nan(clean, 5, 0))
+        store.save(artifacts.KIND_DATASET, key, encoded)
+        with pytest.raises(ConfigurationError, match="is NaN at hour 5 "):
+            materialise_dataset(MARKET, SYNTHETIC)
+
+    def test_inf_prices_stay_legal(self, monkeypatch):
+        clean = providers.build_provider(SYNTHETIC).dataset(MARKET)
+        real_time = clean.price_matrix.copy()
+        real_time[3, 1] = np.inf
+        spiked = type(clean)(clean.config, clean.calendar, clean.hubs, real_time, real_time)
+
+        class Spiked:
+            def dataset(self, market):
+                return spiked
+
+        monkeypatch.setattr(providers, "build_provider", lambda spec: Spiked())
+        assert materialise_dataset(MARKET, SYNTHETIC) is spiked

@@ -1,13 +1,24 @@
-"""Every third-party package the library imports is a declared dependency."""
+"""Packaging: declared dependencies, shipped data, and the C kernel build.
+
+Every third-party package the library imports is a declared dependency;
+the greedy-walk C source ships as package data and builds, on first
+import, from an empty cache directory; without a C compiler the import
+fails with an ImportError that says what to install.
+"""
 
 from __future__ import annotations
 
 import ast
+import ctypes
+import errno
+import fnmatch
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+from repro.routing import _native
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -56,3 +67,58 @@ def test_every_third_party_import_is_declared():
         if module.lower() not in declared
     }
     assert not undeclared, f"imported but missing from pyproject.toml dependencies: {undeclared}"
+
+
+def test_kernel_source_ships_as_package_data():
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    package_data = pyproject["tool"]["setuptools"]["package-data"]["repro"]
+    source = _native.SOURCE.relative_to(SOURCE).as_posix()
+    assert _native.SOURCE.is_file()
+    assert any(fnmatch.fnmatch(source, pattern) for pattern in package_data)
+
+
+def test_kernel_builds_from_an_empty_cache_directory(tmp_path):
+    cache = tmp_path / "cache"
+    walk = _native.load(cache)
+    built = sorted(path.name for path in cache.iterdir())
+    assert built == [_native.library_name()]  # no temporary file left behind
+    assert callable(walk) and walk.restype is ctypes.c_int
+    assert _native.build(cache) == cache / built[0]  # a second build reuses it
+
+
+def test_missing_compiler_is_a_named_import_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+    with pytest.raises(ImportError, match="needs a C compiler.*install"):
+        _native.load(tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "refusal",
+    [
+        PermissionError(errno.EACCES, "Permission denied"),
+        OSError(errno.EROFS, "Read-only file system"),
+    ],
+    ids=["no-permission", "read-only"],
+)
+def test_unwritable_package_cache_falls_back_to_the_home_cache(tmp_path, monkeypatch, refusal):
+    real_build = _native.build
+    package_cache = _native.SOURCE.parent / "__pycache__"
+
+    def build(directory):
+        if directory == package_cache:
+            raise refusal
+        return real_build(directory)
+
+    monkeypatch.setattr(_native, "build", build)
+    monkeypatch.setattr(Path, "home", lambda: tmp_path)
+    assert callable(_native.load())
+    assert (tmp_path / ".cache" / "repro" / _native.library_name()).is_file()
+
+
+def test_library_name_is_keyed_on_the_platform(monkeypatch):
+    here = _native.library_name()
+    monkeypatch.setattr(_native.platform, "machine", lambda: "some-other-machine")
+    elsewhere = _native.library_name()
+    monkeypatch.setattr(_native.sys, "platform", "some-other-os")
+    assert len({here, elsewhere, _native.library_name()}) == 3

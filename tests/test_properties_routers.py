@@ -1,6 +1,6 @@
 """Hypothesis property tests over *every* router kind.
 
-Three invariants, checked across randomized cluster rosters (2-9
+Four invariants, checked across randomized cluster rosters (2-9
 clusters drawn from the Akamai-like deployment), demand vectors, and
 price tensors:
 
@@ -13,15 +13,21 @@ price tensors:
   across repeated calls *and* across freshly constructed routers, and
   the vectorised batch path reproduces the scalar path exactly. Every
   simulation cache, artifact hash, and replica ensemble rests on this.
+* **Candidate sets** — with unlimited capacity, a state is only ever
+  placed inside its candidate set (the price router's distance-limited
+  set with its metro fallback, the joint router's allowed clusters);
+  a NaN price is refused instead of silently routing around it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.errors import ConfigurationError
 from repro.routing.akamai import BaselineProximityRouter
 from repro.routing.base import RoutingProblem, batch_allocate
 from repro.routing.joint import JointOptimizationRouter
@@ -176,3 +182,57 @@ class TestDeterminism:
                 ra.allocate(demand_a, prices_a, limits),
                 rb.allocate(demand_b, prices_b, limits),
             )
+
+
+def allowed_clusters(router, prob: RoutingProblem) -> np.ndarray:
+    """``(n_states, n_clusters)`` mask of where ``router`` may place a
+    state when capacity never binds."""
+    distances = prob.distances.matrix
+    if isinstance(router, PriceConsciousRouter):
+        allowed = np.zeros_like(distances, dtype=bool)
+        for s, cands in enumerate(router.candidate_sets):
+            allowed[s, cands] = True
+        return allowed
+    if isinstance(router, JointOptimizationRouter) and router.distance_threshold_km is not None:
+        allowed = distances <= router.distance_threshold_km
+        nearest = distances.argmin(axis=1)
+        allowed[np.arange(prob.n_states), nearest] |= ~allowed.any(axis=1)
+        return allowed
+    return np.ones_like(distances, dtype=bool)
+
+
+@st.composite
+def prices_with_gaps(draw):
+    """A routing case whose prices may hold NaN, inf and -inf."""
+    prob = problem_for(draw(subsets))
+    demand = draw(
+        arrays(np.float64, prob.n_states, elements=st.floats(0.0, 50_000.0, allow_nan=False))
+    )
+    special = st.sampled_from((np.nan, np.inf, -np.inf))
+    prices = draw(
+        arrays(
+            np.float64,
+            prob.n_clusters,
+            elements=st.one_of(st.floats(-40.0, 500.0), special),
+        )
+    )
+    return prob, demand, prices
+
+
+class TestCandidateSets:
+    @given(case=prices_with_gaps(), variant=st.integers(0, 19))
+    @settings(max_examples=60, deadline=None)
+    def test_unlimited_capacity_stays_inside_candidate_sets(self, case, variant):
+        """With room to spare, every positive cell lies in the state's
+        candidate set, or the call refuses a NaN price."""
+        prob, demand, prices = case
+        limits = np.full(prob.n_clusters, np.inf)
+        baseline, price, joint, _ = make_routers(prob, variant)
+        for router in (baseline, price, joint):
+            if np.isnan(prices).any():
+                with pytest.raises(ConfigurationError, match="NaN"):
+                    batch_allocate(router, demand[None], prices[None], limits)
+                continue
+            alloc = batch_allocate(router, demand[None], prices[None], limits)[0]
+            outside = (alloc > 0.0) & ~allowed_clusters(router, prob)
+            assert not outside.any(), f"{type(router).__name__} left the candidate set"

@@ -23,7 +23,13 @@ import pytest
 from repro import artifacts, scenarios, sweeps
 from repro.artifacts.codec import spec_key
 from repro.experiments.orchestrator import FigureSpec
-from repro.markets.providers import SYNTHETIC, ProviderSpec, preset, preset_names
+from repro.markets.providers import (
+    SYNTHETIC,
+    ProviderSpec,
+    materialise_dataset,
+    preset,
+    preset_names,
+)
 from repro.sweeps.metrics import point_metrics
 from repro.energy.params import OPTIMISTIC_FUTURE
 
@@ -79,6 +85,32 @@ class TestConformance:
         metrics = point_metrics(scenario, OPTIMISTIC_FUTURE)
         assert all(np.isfinite(v) for v in metrics.values())
         assert metrics["baseline_cost_usd"] > 0
+
+    @pytest.mark.parametrize("name", sorted(preset_names()))
+    def test_preset_prices_are_finite(self, name):
+        """Routers refuse NaN prices, so no preset may produce one."""
+        dataset = materialise_dataset(smoke_scenario(name).market, preset(name).spec)
+        assert np.isfinite(dataset.price_matrix).all()
+        assert np.isfinite(dataset.day_ahead_matrix).all()
+
+    @pytest.mark.parametrize(
+        "perturbation",
+        (
+            {"scale": 0.05},
+            {"scale": 40.0},
+            {"decorrelate": 0.5, "seed": 3},
+            {"decorrelate": 1.0, "seed": 5},
+            {"spike_rate": 0.49, "spike_magnitude": 500.0, "seed": 7},
+            {"scale": 8.0, "decorrelate": 1.0, "spike_rate": 0.2, "seed": 9},
+        ),
+        ids=("shrink", "inflate", "half-decorrelated", "decorrelated", "spikes", "combined"),
+    )
+    @pytest.mark.parametrize("base", ("synthetic", "replay-smoke"))
+    def test_perturbations_keep_prices_finite(self, base, perturbation):
+        spec = ProviderSpec.of("perturbed", base=preset(base).spec, **perturbation)
+        dataset = materialise_dataset(smoke_scenario(base).market, spec)
+        assert np.isfinite(dataset.price_matrix).all()
+        assert np.isfinite(dataset.day_ahead_matrix).all()
 
     def test_provider_families_registered(self):
         for name in ("replay-smoke", "replay-stress", "spiky-markets", "decorrelated-rtos"):

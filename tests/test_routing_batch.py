@@ -29,6 +29,8 @@ from repro.routing import (
 )
 from repro.traffic.clusters import akamai_like_deployment
 
+import walk_oracle
+
 ROUTER_KINDS = ("static", "baseline", "price", "joint")
 
 #: Total-limit margin over peak national demand; 1.02 forces heavy
@@ -193,13 +195,14 @@ def test_batch_allocate_rejects_bad_shapes(kind, n_steps, bad):
         batch_allocate(_router(kind, 1500.0), demand, prices, limits)
 
 
-@pytest.mark.parametrize("field", ("limits", "demand"))
+@pytest.mark.parametrize("field", ("limits", "demand", "prices"))
 @pytest.mark.parametrize("n_steps", (1, 3))
 @pytest.mark.parametrize("kind", ("price", "baseline", "joint"))
 def test_batch_allocate_rejects_nan(kind, n_steps, field):
-    """NaN in limits or demand is refused before either path runs. The
-    scalar fill skipped a NaN limit and raised on the rest; the batched
-    fill counted the row as unbounded and spread NaN into the takes."""
+    """NaN in limits, demand or prices is refused before either path
+    runs. The scalar fill skipped a NaN limit and raised on the rest;
+    the batched fill counted the row as unbounded and spread NaN into
+    the takes; a NaN price made no cluster cheapest."""
     problem = _problem()
     limits = np.full(problem.n_clusters, 1e5)
     limits[0] = np.nan
@@ -211,6 +214,9 @@ def test_batch_allocate_rejects_nan(kind, n_steps, field):
     if field == "demand":
         limits[:2] = 1e5
         demand[-1, 3] = np.nan
+    if field == "prices":
+        limits[:2] = 1e5
+        prices[-1, 2] = np.nan
     with pytest.raises(ConfigurationError, match="NaN"):
         batch_allocate(_router(kind, 1500.0), demand, prices, limits)
 
@@ -230,11 +236,10 @@ def test_batch_allocate_empty_batch(kind, shared):
 
 
 @contextmanager
-def _walk(walk: str):
-    """Pin ``greedy_fill_batch`` to one of its two walks for a block."""
+def _python_walk():
+    """Route every greedy walk through the Python oracle for a block."""
     with pytest.MonkeyPatch.context() as patch:
-        threshold = 1 if walk == "vectorised" else 10**9
-        patch.setattr(routing_base, "_VECTOR_WALK_MIN_STEPS", threshold)
+        patch.setattr(routing_base, "_walk", walk_oracle.walk)
         yield
 
 
@@ -260,7 +265,7 @@ def _quantised_limits(rng, demand, n_clusters, shared):
     return limits[0] if shared else limits
 
 
-@pytest.mark.parametrize("walk", ("per_step", "vectorised"))
+@pytest.mark.parametrize("calls", ("per_step", "vectorised"))
 @given(
     seed=st.integers(0, 2**31 - 1),
     n_steps=st.sampled_from((1, 2, 3, 8)),
@@ -268,11 +273,15 @@ def _quantised_limits(rng, demand, n_clusters, shared):
     padded=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_greedy_fill_quantised_ties(walk, seed, n_steps, shared, padded):
-    """Bitwise batch == scalar on integer inputs, where ties and exact
-    drains are common: zero-demand states, zero limits, limits equal to
-    exact partial sums; partial preference lists (padded with repeats
-    of their first cluster for the batch form) reach the fallback."""
+def test_greedy_fill_quantised_ties(calls, seed, n_steps, shared, padded):
+    """The C walk equals the Python oracle's scalar fill bitwise on
+    integer inputs, where ties and exact drains are common: zero-demand
+    states, zero limits, limits equal to exact partial sums; partial
+    preference lists (padded with repeats of their first cluster for
+    the batch form) reach the fallback. ``per_step`` calls the kernel
+    once per step (``greedy_fill`` on the lists and a one-row
+    ``greedy_fill_batch`` on the matrix), ``vectorised`` once over the
+    batch."""
     rng = np.random.default_rng(seed)
     n_states = int(rng.integers(1, 9))
     n_clusters = int(rng.integers(1, 6))
@@ -284,12 +293,23 @@ def test_greedy_fill_quantised_ties(walk, seed, n_steps, shared, padded):
     lists = [perms[s, : listed[s]] for s in range(n_states)]
     matrix = np.where(np.arange(n_clusters)[None, :] >= listed[:, None], perms[:, :1], perms)
     step_limits = np.broadcast_to(limits, (n_steps, n_clusters))
-    reference = np.stack([greedy_fill(demand[t], lists, step_limits[t]) for t in range(n_steps)])
-    with _walk(walk):
+    with _python_walk():
+        reference = np.stack(
+            [greedy_fill(demand[t], lists, step_limits[t]) for t in range(n_steps)]
+        )
+    if calls == "per_step":
+        for t in range(n_steps):
+            np.testing.assert_array_equal(
+                greedy_fill(demand[t], lists, step_limits[t]), reference[t]
+            )
+            np.testing.assert_array_equal(
+                greedy_fill_batch(demand[t : t + 1], matrix, step_limits[t])[0], reference[t]
+            )
+    else:
         np.testing.assert_array_equal(greedy_fill_batch(demand, matrix, limits), reference)
 
 
-@pytest.mark.parametrize("walk", ("per_step", "vectorised"))
+@pytest.mark.parametrize("calls", ("per_step", "vectorised"))
 @pytest.mark.parametrize("kind", ("price", "baseline", "joint"))
 @given(
     seed=st.integers(0, 2**31 - 1),
@@ -298,10 +318,12 @@ def test_greedy_fill_quantised_ties(walk, seed, n_steps, shared, padded):
     threshold_km=st.sampled_from((0.0, 800.0, 1500.0)),
 )
 @settings(max_examples=20, deadline=None)
-def test_routers_quantised_ties(walk, kind, seed, n_steps, shared, threshold_km):
-    """Each router's ``allocate`` equals its ``allocate_batch`` and
-    ``batch_allocate`` bitwise on integer demand, integer prices (so
-    price buckets tie) and quantised limits, shared or per step."""
+def test_routers_quantised_ties(calls, kind, seed, n_steps, shared, threshold_km):
+    """On the C walk, each router's ``allocate``, ``allocate_batch``
+    and ``batch_allocate`` equal its ``allocate`` on the Python oracle
+    walk bitwise, on integer demand, integer prices (so price buckets
+    tie) and quantised limits, shared or per step. ``per_step`` makes
+    one call per step, ``vectorised`` one call over the batch."""
     problem = _problem()
     rng = np.random.default_rng(seed)
     demand = rng.integers(0, 5, (n_steps, problem.n_states)) * 1000.0
@@ -310,9 +332,22 @@ def test_routers_quantised_ties(walk, kind, seed, n_steps, shared, threshold_km)
     limits = _quantised_limits(rng, demand, problem.n_clusters, shared)
     router = _router(kind, threshold_km)
     step_limits = np.broadcast_to(limits, (n_steps, problem.n_clusters))
-    reference = np.stack(
-        [router.allocate(demand[t], prices[t], step_limits[t]) for t in range(n_steps)]
-    )
-    with _walk(walk):
+    with _python_walk():
+        reference = np.stack(
+            [router.allocate(demand[t], prices[t], step_limits[t]) for t in range(n_steps)]
+        )
+    if calls == "per_step":
+        for t in range(n_steps):
+            row = slice(t, t + 1)
+            np.testing.assert_array_equal(
+                router.allocate(demand[t], prices[t], step_limits[t]), reference[t]
+            )
+            np.testing.assert_array_equal(
+                router.allocate_batch(demand[row], prices[row], step_limits[row])[0], reference[t]
+            )
+            np.testing.assert_array_equal(
+                batch_allocate(router, demand[row], prices[row], step_limits[row])[0], reference[t]
+            )
+    else:
         np.testing.assert_array_equal(router.allocate_batch(demand, prices, limits), reference)
         np.testing.assert_array_equal(batch_allocate(router, demand, prices, limits), reference)

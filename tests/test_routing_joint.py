@@ -88,6 +88,22 @@ class TestJointRouter:
         alloc = router.allocate(demand, prices, relaxed(problem))
         assert alloc[ma, tx1] == 0.0
 
+    def test_distance_threshold_holds_when_allowed_prices_are_inf(self, problem):
+        """An allowed cluster priced at inf still ranks ahead of every
+        forbidden one: all-inf prices used to tie the whole row at inf,
+        and argmin then took cluster 0 whatever the threshold."""
+        router = JointOptimizationRouter(problem, distance_threshold_km=800.0)
+        distances = problem.distances.matrix
+        allowed = distances <= 800.0
+        stranded = ~allowed.any(axis=1)
+        allowed[stranded, distances[stranded].argmin(axis=1)] = True
+        demand = np.full(problem.n_states, 100.0)
+        for prices in (np.full(problem.n_clusters, np.inf), np.where(allowed[0], np.inf, 50.0)):
+            alloc = router.allocate(demand, prices, relaxed(problem))
+            assert not (alloc[~allowed] > 0.0).any()
+            batch = router.allocate_batch(demand[None], prices[None], relaxed(problem))
+            assert np.array_equal(batch[0], alloc)
+
     def test_respects_limits(self, problem):
         router = JointOptimizationRouter(problem)
         demand = np.full(problem.n_states, 20_000.0)

@@ -13,6 +13,8 @@ from repro.routing.price import METRO_RADIUS_KM, PriceConsciousRouter
 from repro.sim import simulate
 from repro.traffic.clusters import akamai_like_deployment
 
+import walk_oracle
+
 
 @pytest.fixture(scope="module")
 def problem():
@@ -170,7 +172,7 @@ def _scalar_replay(router, demand, prices, limits):
     return np.stack(rows) if rows else np.zeros((0, n_states, n_clusters))
 
 
-@pytest.mark.parametrize("walk", ("per_step", "vectorised"))
+@pytest.mark.parametrize("calls", ("per_step", "vectorised"))
 @given(
     seed=st.integers(0, 2**31 - 1),
     n_steps=st.integers(0, 60),
@@ -180,10 +182,12 @@ def _scalar_replay(router, demand, prices, limits):
 )
 @settings(max_examples=30, deadline=None)
 def test_repeated_price_rows_replay_scalar(
-    problem, walk, seed, n_steps, shared, tightness, threshold_km
+    problem, calls, seed, n_steps, shared, tightness, threshold_km
 ):
     """``allocate_batch`` over hourly-style repeated price rows equals
-    per-step ``allocate`` byte for byte, or raises as it does."""
+    per-step ``allocate`` on the Python oracle walk byte for byte, or
+    raises as it does; ``per_step`` also replays ``allocate`` on the C
+    walk one step per call against it."""
     rng = np.random.default_rng(seed)
     n_states, n_clusters = problem.n_states, problem.n_clusters
     prices, block = _repeated_price_rows(rng, n_steps, n_clusters)
@@ -199,15 +203,20 @@ def test_repeated_price_rows_replay_scalar(
     if shared:
         limits = limits[0]
     router = PriceConsciousRouter(problem, threshold_km)
-    expected = _scalar_replay(router, demand, prices, limits)
     with pytest.MonkeyPatch.context() as patch:
-        threshold = 1 if walk == "vectorised" else 10**9
-        patch.setattr(routing_base, "_VECTOR_WALK_MIN_STEPS", threshold)
+        patch.setattr(routing_base, "_walk", walk_oracle.walk)
+        expected = _scalar_replay(router, demand, prices, limits)
+    if calls == "per_step":
+        replayed = _scalar_replay(router, demand, prices, limits)
         if expected is InfeasibleAllocationError:
-            with pytest.raises(InfeasibleAllocationError):
-                router.allocate_batch(demand, prices, limits)
-            return
-        batch = router.allocate_batch(demand, prices, limits)
+            assert replayed is InfeasibleAllocationError
+        else:
+            assert replayed.tobytes() == expected.tobytes()
+    if expected is InfeasibleAllocationError:
+        with pytest.raises(InfeasibleAllocationError):
+            router.allocate_batch(demand, prices, limits)
+        return
+    batch = router.allocate_batch(demand, prices, limits)
     assert batch.shape == expected.shape
     assert batch.tobytes() == expected.tobytes()
 

@@ -294,3 +294,31 @@ def test_session_clock_and_price_introspection(small_dataset, problem):
         np.stack([session.paid_prices(t) for t in range(trace.n_steps)]),
         offline.paid_prices,
     )
+
+
+def test_session_refuses_nan_prices(small_dataset, problem):
+    """A NaN among the prices the router would see is refused up front,
+    naming the cluster and the step; inf prices stay legal."""
+    trace = make_trace(TraceConfig(start=_WINDOW_START, n_steps=12, seed=9))
+    router = PriceConsciousRouter(problem, 800.0)
+    column = small_dataset.hub_column(problem.deployment.hub_codes[0])
+
+    def session_over(value):
+        prices = small_dataset.price_matrix.copy()
+        prices[:, column] = value
+        dataset = type(small_dataset)(
+            small_dataset.config, small_dataset.calendar, small_dataset.hubs, prices, prices
+        )
+        return RoutingSession(
+            dataset,
+            problem,
+            router,
+            start=trace.start,
+            step_seconds=trace.step_seconds,
+            n_steps=trace.n_steps,
+        )
+
+    label = problem.deployment.clusters[0].label
+    with pytest.raises(ConfigurationError, match=f"NaN price for cluster {label} at step 0"):
+        session_over(np.nan)
+    session_over(np.inf).feed(trace.demand)

@@ -45,6 +45,40 @@ class TestShares:
 
 
 class TestDiurnal:
+    def test_memo_is_keyed_on_config_and_exact_grid(self):
+        from repro.traffic import demand
+
+        hours, _ = hour_axis(days=2)
+        model = DemandModel()
+        first = model.diurnal_factor(hours)
+        assert not first.flags.writeable
+        assert DemandModel().diurnal_factor(hours.copy()) is first
+        assert np.array_equal(first, model._diurnal_factor(hours))
+        # A shorter grid renormalises over its own min/max, and another
+        # config shapes another curve: neither may hit the memo.
+        for other in (
+            model.diurnal_factor(hours[:100]),
+            DemandModel(DemandModelConfig(diurnal_swing=2.0)).diurnal_factor(hours),
+            model.diurnal_factor(hours.astype(np.float32)),
+        ):
+            assert other is not first
+
+    def test_memo_stays_under_its_byte_bound(self, monkeypatch):
+        from repro.traffic import demand
+
+        model = DemandModel()
+        curve_bytes = model.diurnal_factor(np.arange(100, dtype=float)).nbytes
+        monkeypatch.setattr(demand, "_DIURNAL_MEMO_BYTES", 3 * curve_bytes)
+        grids = [np.arange(100, dtype=float) + k / 8 for k in range(8)]
+        for grid in grids:
+            newest = model.diurnal_factor(grid)
+        assert len(demand._DIURNAL_MEMO) == 3
+        assert model.diurnal_factor(grids[-1]) is newest
+        # A curve above the bound on its own is still kept, alone.
+        monkeypatch.setattr(demand, "_DIURNAL_MEMO_BYTES", curve_bytes // 2)
+        model.diurnal_factor(grids[0])
+        assert len(demand._DIURNAL_MEMO) == 1
+
     def test_shape_and_range(self, model):
         hours, _ = hour_axis(days=2)
         factors = model.diurnal_factor(hours)
