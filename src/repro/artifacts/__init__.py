@@ -6,7 +6,8 @@ everything in every worker. This package adds the durable layer
 beneath it: a content-addressed on-disk store keyed on frozen
 :class:`~repro.scenarios.spec.Scenario` and figure specs, holding
 bit-identical :class:`~repro.sim.results.SimulationResult` payloads
-and JSON figure artifacts.
+and JSON figure artifacts. Records are a JSON header line followed by
+the raw bytes of their arrays (see :mod:`repro.artifacts.store`).
 
 Activation
 ----------
@@ -29,6 +30,7 @@ import os
 from pathlib import Path
 
 from repro.artifacts.codec import (
+    KeyedSpec,
     canonical,
     canonical_json,
     decode_array,
@@ -39,6 +41,7 @@ from repro.artifacts.codec import (
     encode_market_dataset,
     encode_simulation_result,
     encode_value,
+    keyed,
     spec_key,
 )
 from repro.artifacts.store import (
@@ -72,6 +75,8 @@ __all__ = [
     "canonical",
     "canonical_json",
     "spec_key",
+    "KeyedSpec",
+    "keyed",
     "encode_array",
     "decode_array",
     "encode_value",

@@ -1,4 +1,4 @@
-"""JSON codec for artifacts: frozen specs in, bit-identical values out.
+"""Codecs for artifacts: frozen specs in, bit-identical values out.
 
 Three layers, each building on the one below:
 
@@ -7,14 +7,21 @@ Three layers, each building on the one below:
     numpy scalars, tuples) into a plain, deterministic JSON document.
     Dataclasses are tagged with their class name so two spec types
     whose fields happen to coincide never collide.
-``spec_key``
+``spec_key`` / ``keyed``
     SHA-256 of the canonical document — the content address a spec's
-    artifact is stored under.
+    artifact is stored under. :func:`keyed` computes the document and
+    its address once, so a store lookup followed by a publish of the
+    same spec does not canonicalise it twice.
 ``encode_* / decode_*``
-    Lossless value codecs. Arrays travel as base64 of their raw bytes
-    plus dtype and shape, so a decoded :class:`SimulationResult` is
-    bit-identical to the one that was written — the property the
-    golden-figure regression gate rests on.
+    Lossless value codecs. Simulation results and market data sets
+    encode to plain payloads that hold raw :class:`numpy.ndarray`
+    values; the store frames those arrays as raw bytes after the
+    record's JSON header (see :mod:`repro.artifacts.store`), so a
+    decoded :class:`SimulationResult` is bit-identical to the one that
+    was written — the property the golden-figure regression gate rests
+    on. Figure documents (and the committed goldens) are plain JSON,
+    and their arrays travel as base64 of the raw bytes plus dtype and
+    shape (:func:`encode_array`).
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ __all__ = [
     "canonical",
     "canonical_json",
     "spec_key",
+    "KeyedSpec",
+    "keyed",
     "encode_array",
     "decode_array",
     "encode_value",
@@ -49,8 +58,9 @@ __all__ = [
 #: Bump when the on-disk encoding changes shape — or when simulation
 #: semantics change (so stale stores become clean cache misses rather
 #: than serving pre-change results). 2: "lower" billing percentile and
-#: the unclamped joint-router congestion ramp.
-FORMAT_VERSION = 2
+#: the unclamped joint-router congestion ramp. 3: records are a JSON
+#: header line followed by the raw bytes of their arrays.
+FORMAT_VERSION = 3
 
 #: Field-metadata flag: omit the field from the canonical document when
 #: it still holds its declared default. This is how a spec can *grow* a
@@ -101,7 +111,23 @@ def canonical_json(obj: Any) -> str:
 
 def spec_key(obj: Any) -> str:
     """Content address of a spec: SHA-256 of its canonical JSON."""
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+    return keyed(obj).key
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class KeyedSpec:
+    """A spec's canonical JSON document and its content address."""
+
+    document: str
+    key: str
+
+
+def keyed(obj: Any) -> KeyedSpec:
+    """``obj``'s document and address, computed once (a no-op when keyed)."""
+    if isinstance(obj, KeyedSpec):
+        return obj
+    document = canonical_json(obj)
+    return KeyedSpec(document, hashlib.sha256(document.encode("utf-8")).hexdigest())
 
 
 # -- arrays -------------------------------------------------------------------
@@ -161,15 +187,16 @@ def decode_value(value: Any) -> Any:
 
 
 def encode_simulation_result(result: SimulationResult) -> dict:
+    """A store payload: scalar fields plus the result's raw arrays."""
     return {
         "start": result.start.isoformat(),
         "step_seconds": result.step_seconds,
         "cluster_labels": list(result.cluster_labels),
-        "capacities": encode_array(result.capacities),
-        "server_counts": encode_array(result.server_counts),
-        "loads": encode_array(result.loads),
-        "paid_prices": encode_array(result.paid_prices),
-        "distance_histogram": encode_array(result.distance_profile.histogram),
+        "capacities": result.capacities,
+        "server_counts": result.server_counts,
+        "loads": result.loads,
+        "paid_prices": result.paid_prices,
+        "distance_histogram": result.distance_profile.histogram,
     }
 
 
@@ -178,11 +205,11 @@ def decode_simulation_result(payload: dict) -> SimulationResult:
         start=datetime.fromisoformat(payload["start"]),
         step_seconds=int(payload["step_seconds"]),
         cluster_labels=tuple(payload["cluster_labels"]),
-        capacities=decode_array(payload["capacities"]),
-        server_counts=decode_array(payload["server_counts"]),
-        loads=decode_array(payload["loads"]),
-        paid_prices=decode_array(payload["paid_prices"]),
-        distance_histogram=decode_array(payload["distance_histogram"]),
+        capacities=payload["capacities"],
+        server_counts=payload["server_counts"],
+        loads=payload["loads"],
+        paid_prices=payload["paid_prices"],
+        distance_histogram=payload["distance_histogram"],
     )
 
 
@@ -195,7 +222,7 @@ def encode_market_dataset(dataset: Any) -> dict | None:
     Only configs whose price model and correlation model still hold
     their defaults are encodable — those sub-configs are rebuilt from
     defaults on decode rather than serialised, which keeps the payload
-    to the scalar config fields plus the two price matrices. Every
+    to the scalar config fields plus the two raw price matrices. Every
     current provider satisfies this; a future custom-model config
     simply opts out of the disk cache (``None`` means "don't cache").
     """
@@ -212,8 +239,8 @@ def encode_market_dataset(dataset: Any) -> dict | None:
         "seed": config.seed,
         "day_ahead_premium": config.day_ahead_premium,
         "five_minute_sigma_fraction": config.five_minute_sigma_fraction,
-        "real_time": encode_array(dataset.price_matrix),
-        "day_ahead": encode_array(dataset.day_ahead_matrix),
+        "real_time": dataset.price_matrix,
+        "day_ahead": dataset.day_ahead_matrix,
     }
 
 
@@ -243,6 +270,6 @@ def decode_market_dataset(payload: dict) -> Any:
         config,
         calendar,
         hubs,
-        decode_array(payload["real_time"]),
-        decode_array(payload["day_ahead"]),
+        payload["real_time"],
+        payload["day_ahead"],
     )

@@ -1,25 +1,39 @@
 """Content-addressed on-disk artifact store.
 
-Layout (one JSON file per artifact, addressed by its spec's hash)::
+Layout (one file per artifact, addressed by its spec's hash)::
 
     <root>/
       simulations/<sha256>.json   # SimulationResult keyed on Scenario
       figures/<sha256>.json       # FigureResult keyed on FigureSpec
       sweeps/<sha256>.json        # SweepResult keyed on SweepSpec
       datasets/<sha256>.json      # MarketDataset keyed on (market, provider)
+      sessions/<sha256>.json      # serving checkpoints (banked windows)
       campaigns/<sha256>/         # checkpointed sweep groups keyed on
         manifest.json             #   (SweepSpec, group_target); one file
         group-<i>.json            #   per banked work group
 
-Every record carries the canonical spec document next to the payload,
-so entries are self-describing: ``repro list`` and ``repro diff`` can
-tell what a file is without re-deriving its key, and a hash collision
-(or a stale format) is detected rather than silently trusted.
+A record is one JSON header line followed by the raw little-endian
+bytes of its arrays::
+
+    {"format":3,"kind":"datasets","spec":{...},"payload":{...}}\n
+    <array bytes, each padded to 8 bytes>
+
+The header carries the canonical spec document next to the payload, so
+entries are self-describing: ``repro list``, ``repro store status`` and
+``repro diff`` can tell what a file is from its first line alone,
+without re-deriving its key or reading its arrays. Every
+:class:`numpy.ndarray` in a saved payload is replaced in the header by
+``{"__array__": {dtype, shape, offset, nbytes}}`` and its bytes go to
+the tail; :meth:`ArtifactStore.load` hands them back as read-only
+``np.frombuffer`` views of the bytes it read. Records without arrays
+(figures, sweeps) are the header line alone. A stale format, a corrupt
+header or a truncated tail reads as a miss, never as an error.
 
 Writes are atomic (temp file + ``os.replace`` in the same directory),
 which is what makes the store safe under the process-pool executor:
 two workers racing to publish the same scenario both write identical
-bytes and the last rename wins.
+bytes and the last rename wins. A writer killed mid-write leaves only
+its ``*.tmp`` file, which :meth:`ArtifactStore.clear` removes.
 """
 
 from __future__ import annotations
@@ -27,18 +41,20 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from repro.artifacts.codec import (
     FORMAT_VERSION,
-    canonical_json,
     decode_simulation_result,
     encode_simulation_result,
-    spec_key,
+    keyed,
 )
+from repro.errors import ConfigurationError
 from repro.sim.results import SimulationResult
 
 __all__ = [
@@ -50,6 +66,8 @@ __all__ = [
     "KIND_DATASET",
     "KIND_CAMPAIGN",
     "KIND_SESSION",
+    "write_atomic",
+    "remove_records",
 ]
 
 KIND_SIMULATION = "simulations"
@@ -67,6 +85,9 @@ KIND_CAMPAIGN = "campaigns"
 
 _KINDS = (KIND_SIMULATION, KIND_FIGURE, KIND_SWEEP, KIND_DATASET, KIND_SESSION)
 
+#: Every array in a record's tail starts on this byte boundary.
+_ALIGN = 8
+
 
 @dataclass(frozen=True)
 class StoreEntry:
@@ -77,6 +98,92 @@ class StoreEntry:
     path: Path
     spec: Any
     size_bytes: int
+    mtime: float = 0.0
+
+
+def write_atomic(path: Path, chunks: Iterable[Any]) -> None:
+    """Publish the concatenated bytes of ``chunks`` at ``path``, atomically."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def remove_records(directory: Path) -> int:
+    """Delete ``directory``'s records and orphaned temp files; count them."""
+    removed = 0
+    for path in [*directory.glob("*.json"), *directory.glob("*.tmp")]:
+        path.unlink(missing_ok=True)
+        removed += 1
+    return removed
+
+
+class _Tail:
+    """The raw array bytes of one record, gathered while its header is built."""
+
+    def __init__(self) -> None:
+        self.chunks: list[Any] = []
+        self.size = 0
+
+    def lift(self, value: Any) -> Any:
+        """``value`` with every ndarray swapped for its tail descriptor."""
+        if isinstance(value, np.ndarray):
+            return self._append(value)
+        if isinstance(value, dict):
+            return {k: self.lift(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [self.lift(v) for v in value]
+        return value
+
+    def _append(self, arr: np.ndarray) -> dict:
+        if arr.dtype.hasobject:
+            raise ConfigurationError("cannot store an object array in an artifact")
+        arr = np.asarray(arr, dtype=arr.dtype.newbyteorder("<"), order="C")
+        descriptor = {
+            "dtype": arr.dtype.str,
+            "shape": list(arr.shape),
+            "offset": self.size,
+            "nbytes": arr.nbytes,
+        }
+        if arr.nbytes:
+            self.chunks.append(memoryview(arr).cast("B"))
+        pad = -arr.nbytes % _ALIGN
+        if pad:
+            self.chunks.append(bytes(pad))
+        self.size += arr.nbytes + pad
+        return {"__array__": descriptor}
+
+
+def _restore(value: Any, tail: bytes) -> Any:
+    """Inverse of :meth:`_Tail.lift`: read-only array views of ``tail``."""
+    if isinstance(value, dict):
+        descriptor = value.get("__array__")
+        if descriptor is None:
+            return {k: _restore(v, tail) for k, v in value.items()}
+        dtype = np.dtype(descriptor["dtype"])
+        offset, nbytes = int(descriptor["offset"]), int(descriptor["nbytes"])
+        if offset < 0 or offset + nbytes > len(tail):
+            raise ValueError("record tail is truncated")
+        count = nbytes // dtype.itemsize
+        return np.frombuffer(tail, dtype=dtype, count=count, offset=offset).reshape(
+            descriptor["shape"]
+        )
+    if isinstance(value, list):
+        return [_restore(v, tail) for v in value]
+    return value
+
+
+def _read_header(fh: Any) -> dict | None:
+    """A record's parsed header line, or None when it is not one."""
+    header = json.loads(fh.readline())
+    return header if isinstance(header, dict) else None
 
 
 class ArtifactStore:
@@ -90,40 +197,42 @@ class ArtifactStore:
     def path_for(self, kind: str, spec: Any) -> Path:
         if kind not in _KINDS:
             raise ValueError(f"unknown artifact kind {kind!r}")
-        return self.root / kind / f"{spec_key(spec)}.json"
+        return self.root / kind / f"{keyed(spec).key}.json"
 
     def save(self, kind: str, spec: Any, payload: Any) -> Path:
-        """Atomically publish ``payload`` under ``spec``'s address."""
+        """Atomically publish ``payload`` under ``spec``'s address.
+
+        ``spec`` may be a :class:`~repro.artifacts.codec.KeyedSpec`, so
+        a lookup and the publish after it canonicalise the spec once.
+        """
+        spec = keyed(spec)
         path = self.path_for(kind, spec)
-        record = {
-            "format": FORMAT_VERSION,
-            "kind": kind,
-            "spec": json.loads(canonical_json(spec)),
-            "payload": payload,
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(record, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        tail = _Tail()
+        body = json.dumps(tail.lift(payload), separators=(",", ":"))
+        header = (
+            f'{{"format":{FORMAT_VERSION},"kind":{json.dumps(kind)},'
+            f'"spec":{spec.document},"payload":{body}}}\n'
+        )
+        write_atomic(path, [header.encode("utf-8"), *tail.chunks])
         return path
 
     def load(self, kind: str, spec: Any) -> Any | None:
         """The payload stored under ``spec``, or None on miss/mismatch."""
         path = self.path_for(kind, spec)
         try:
-            with open(path) as fh:
-                record = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
+            with open(path, "rb") as fh:
+                header = _read_header(fh)
+                if (
+                    header is None
+                    or header.get("format") != FORMAT_VERSION
+                    or header.get("kind") != kind
+                ):
+                    return None
+                return _restore(header.get("payload"), fh.read())
+        except FileNotFoundError:
             return None
-        if record.get("format") != FORMAT_VERSION or record.get("kind") != kind:
-            return None
-        return record.get("payload")
+        except (ValueError, KeyError, TypeError):
+            return None  # corrupt header or truncated tail: a miss
 
     def has(self, kind: str, spec: Any) -> bool:
         return self.path_for(kind, spec).exists()
@@ -142,53 +251,55 @@ class ArtifactStore:
         yield from sorted(p for p in root.iterdir() if p.is_dir())
 
     def entries(self) -> Iterator[StoreEntry]:
-        """Every readable artifact under the root, sorted per kind."""
+        """Every readable artifact under the root, sorted per kind.
+
+        Only each record's header line is read, never its arrays.
+        """
         for kind in _KINDS:
             directory = self.root / kind
             if not directory.is_dir():
                 continue
             for path in sorted(directory.glob("*.json")):
                 try:
-                    with open(path) as fh:
-                        record = json.load(fh)
-                except (OSError, json.JSONDecodeError):
+                    with open(path, "rb") as fh:
+                        header = _read_header(fh)
+                    stat = path.stat()
+                except (OSError, ValueError):
+                    continue
+                if header is None:
                     continue
                 yield StoreEntry(
                     kind=kind,
                     key=path.stem,
                     path=path,
-                    spec=record.get("spec"),
-                    size_bytes=path.stat().st_size,
+                    spec=header.get("spec"),
+                    size_bytes=stat.st_size,
+                    mtime=stat.st_mtime,
                 )
         for directory in self.campaign_dirs():
             manifest = directory / "manifest.json"
             try:
-                with open(manifest) as fh:
-                    record = json.load(fh)
-            except (OSError, json.JSONDecodeError):
+                with open(manifest, "rb") as fh:
+                    record = _read_header(fh)
+                stats = [p.stat() for p in directory.glob("*.json")]
+            except (OSError, ValueError):
+                continue
+            if record is None:
                 continue
             yield StoreEntry(
                 kind=KIND_CAMPAIGN,
                 key=directory.name,
                 path=manifest,
                 spec=record.get("spec"),
-                size_bytes=sum(p.stat().st_size for p in directory.glob("*.json")),
+                size_bytes=sum(st.st_size for st in stats),
+                mtime=max((st.st_mtime for st in stats), default=0.0),
             )
 
     def clear(self) -> int:
-        """Delete every artifact; returns the number of files removed."""
-        removed = 0
-        for kind in _KINDS:
-            directory = self.root / kind
-            if not directory.is_dir():
-                continue
-            for path in directory.glob("*.json"):
-                path.unlink(missing_ok=True)
-                removed += 1
+        """Delete every artifact and orphaned temp file; returns the count."""
+        removed = sum(remove_records(self.root / kind) for kind in _KINDS)
         for directory in list(self.campaign_dirs()):
-            for path in directory.glob("*.json"):
-                path.unlink(missing_ok=True)
-                removed += 1
+            removed += remove_records(directory)
             try:
                 directory.rmdir()
             except OSError:

@@ -16,6 +16,7 @@ Subcommands over one artifact store::
     repro sweep summarize smoke-grid # print a cached sweep's statistics
     repro serve --scenario serve-smoke --port 8351  # online routing server
     repro serve --smoke              # serving self-test (CI)
+    repro store status               # what the artifact store holds
     repro clean                      # drop the on-disk artifact store
 
 The store lives at ``--artifacts DIR`` (default ``.repro-artifacts``,
@@ -340,6 +341,17 @@ def build_parser() -> argparse.ArgumentParser:
     providers_p = sub.add_parser("providers", help="inspect market-data providers")
     providers_sub = providers_p.add_subparsers(dest="providers_command")
     providers_sub.add_parser("list", help="list provider presets and the scenarios using them")
+
+    store_p = sub.add_parser("store", help="inspect the artifact store")
+    store_sub = store_p.add_subparsers(dest="store_command")
+    status_p = store_sub.add_parser(
+        "status", help="per-kind counts, sizes and ages, and resumable campaigns"
+    )
+    status_p.add_argument(
+        "--artifacts",
+        metavar="DIR",
+        help=f"artifact store directory (default {artifacts.DEFAULT_STORE_DIR})",
+    )
 
     clean_p = sub.add_parser("clean", help="delete the on-disk artifact store")
     _add_store_options(clean_p)
@@ -863,6 +875,42 @@ def _cmd_providers(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_store(args: argparse.Namespace) -> int:
+    if args.store_command != "status":
+        print("repro store: choose a subcommand (status)", file=sys.stderr)
+        return 2
+    from repro import sweeps
+
+    _activate_store(args)
+    store = artifacts.get_store()
+    inventory: dict[str, list[artifacts.StoreEntry]] = {}
+    for entry in store.entries():
+        inventory.setdefault(entry.kind, []).append(entry)
+    print(f"store {store.root}")
+    if not inventory:
+        print("(empty)")
+    else:
+        print(f"{'kind':12s} {'count':>6s} {'bytes':>14s}  {'oldest':19s}  newest")
+    for kind, entries in inventory.items():
+        mtimes = [e.mtime for e in entries]
+        print(
+            f"{kind:12s} {len(entries):6d} {sum(e.size_bytes for e in entries):14,d}  "
+            f"{_timestamp(min(mtimes))}  {_timestamp(max(mtimes))}"
+        )
+    for record, done in sweeps.campaigns(store):
+        total = int(record["n_groups"])
+        state = "resumable" if done < total else "complete, ready to merge"
+        print(
+            f"campaign {record['sweep']}: {done}/{total} groups banked "
+            f"(group target {record['group_target']}), {state}"
+        )
+    return 0
+
+
+def _timestamp(mtime: float) -> str:
+    return time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(mtime))
+
+
 def _cmd_clean(args: argparse.Namespace) -> int:
     if getattr(args, "no_store", False):
         print("repro clean: nothing to do with --no-store", file=sys.stderr)
@@ -883,6 +931,7 @@ _COMMANDS = {
     "bench": _cmd_bench,
     "serve": _cmd_serve,
     "providers": _cmd_providers,
+    "store": _cmd_store,
     "clean": _cmd_clean,
 }
 

@@ -558,7 +558,7 @@ def materialise_dataset(market: "MarketSpec", provider: ProviderSpec) -> MarketD
     store = artifacts.get_store()
     if store is None:
         return _refuse_nan_prices(build_provider(provider).dataset(market))
-    key = DatasetKey(market=market, provider=provider)
+    key = artifacts.keyed(DatasetKey(market=market, provider=provider))
     if not artifacts.refresh_mode():
         payload = store.load(artifacts.KIND_DATASET, key)
         if payload is not None:

@@ -8,6 +8,10 @@ another machine architecture build afresh and a stale or foreign
 library is never loaded. The build writes a temporary file and
 publishes it with ``os.replace``: processes that import at the same
 moment each build and the last rename wins, harmlessly, with no lock.
+A fresh build then deletes the directory's other ``greedy_walk-*.so``
+files, built from an older source, flag set or platform, so the cache
+holds one library (a checkout shared by two machine types rebuilds
+when it switches); a process that still has one loaded keeps its mapping.
 
 There is no pure-Python fallback: without a C compiler the import
 fails with an :class:`ImportError` that says what to install.
@@ -86,6 +90,9 @@ def build(directory: Path) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in directory.glob("greedy_walk-*.so"):
+        if stale != target:
+            stale.unlink(missing_ok=True)
     return target
 
 

@@ -282,18 +282,26 @@ _stacked_results: dict[Scenario, SimulationResult] = {}
 _memo_keys: set[Scenario] = set()
 
 
+@lru_cache(maxsize=1024)
+def _store_key(scenario: Scenario) -> artifacts.KeyedSpec:
+    """A physical scenario's store address, canonicalised once per process."""
+    return artifacts.keyed(scenario)
+
+
 @lru_cache(maxsize=256)
 def _run_cached(scenario: Scenario) -> SimulationResult:
     _memo_keys.add(scenario)
     preloaded = _stacked_results.pop(scenario, None)
     store = artifacts.get_store()
-    if store is not None and not artifacts.refresh_mode():
-        cached = store.load_simulation(scenario)
+    # A stacked result exists only for scenarios run_many found missing
+    # from the store, so looking it up again would be a certain miss.
+    if store is not None and preloaded is None and not artifacts.refresh_mode():
+        cached = store.load_simulation(_store_key(scenario))
         if cached is not None:
             return cached
     result = preloaded if preloaded is not None else _execute(scenario)
     if store is not None:
-        store.save_simulation(scenario, result)
+        store.save_simulation(_store_key(scenario), result)
     return result
 
 
@@ -556,7 +564,7 @@ def run_many(specs: Iterable[Scenario]) -> tuple[SimulationResult, ...]:
     for scenario in dict.fromkeys(runs):
         if scenario in _memo_keys or scenario in _stacked_results:
             continue
-        if use_store and store.path_for(artifacts.KIND_SIMULATION, scenario).exists():
+        if use_store and store.has(artifacts.KIND_SIMULATION, _store_key(scenario)):
             continue
         pending.append(scenario)
 
@@ -584,7 +592,7 @@ def clear_caches() -> None:
     ``cache_clear`` handles. The on-disk artifact store is *not*
     touched; that is ``repro clean``'s job.
     """
-    for memo in (_dataset_cached, problem, trace, _baseline_cached, _run_cached):
+    for memo in (_dataset_cached, problem, trace, _baseline_cached, _run_cached, _store_key):
         memo.cache_clear()
     _stacked_results.clear()
     _memo_keys.clear()

@@ -17,6 +17,8 @@ checkpoint independently and a resumed server can only ever pick up a
 checkpoint written by its own configuration. Saving is atomic (the
 store's write-then-rename) and idempotent: each save rewrites the full
 banked history, so a chain that restarts repeatedly keeps one record.
+The windows' arrays travel as raw bytes in the record's tail, so a
+resume reads them back without decoding.
 
 The serving lifecycle (:func:`repro.serve.lifecycle.serve`, behind
 ``repro serve`` and every shard worker) wires this in at both ends:

@@ -29,7 +29,7 @@ or from the command line::
 """
 
 from repro.sweeps.aggregate import CellStats, MetricStats, SweepResult, aggregate, bootstrap_ci
-from repro.sweeps.checkpoint import CampaignCheckpoint, campaign_status
+from repro.sweeps.checkpoint import CampaignCheckpoint, campaign_status, campaigns
 from repro.sweeps.executor import group_points, run_sweep
 from repro.sweeps.metrics import METRIC_NAMES, point_metrics
 from repro.sweeps.planner import DEFAULT_GROUP_POINTS, WorkGroup, count_groups, plan_groups
@@ -68,6 +68,7 @@ __all__ = [
     "run_sweep",
     "CampaignCheckpoint",
     "campaign_status",
+    "campaigns",
     "parse_shard",
     "merge_sweep",
     "CellStats",

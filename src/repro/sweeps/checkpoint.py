@@ -12,8 +12,10 @@ Layout (``<store root>/campaigns/<key>/``)::
     manifest.json    # sweep name + spec document, group_target, totals
     group-<i>.json   # encoded reducer states + covered point indices
 
-All writes are atomic (temp file + ``os.replace``), so a kill can lose
-at most the group in flight — never corrupt a banked one. Resume reads
+All writes go through the store's atomic writer (temp file +
+``os.replace``), so a kill can lose at most the group in flight — never
+corrupt a banked one — and :meth:`CampaignCheckpoint.discard` removes
+the temp file such a kill leaves behind. Resume reads
 the banked states back (JSON floats round-trip exactly) and recomputes
 only the missing groups; because the final artifact is built from
 replica-slot vectors whose merge is a disjoint union, the resumed
@@ -26,13 +28,12 @@ The checkpoint is deleted once the final sweep artifact is published
 from __future__ import annotations
 
 import json
-import os
-import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.artifacts.codec import FORMAT_VERSION, canonical, spec_key
-from repro.artifacts.store import ArtifactStore
+from repro.artifacts.store import ArtifactStore, remove_records, write_atomic
 from repro.sweeps import streaming
 from repro.sweeps.planner import WorkGroup, resolve_group_target
 from repro.sweeps.spec import SweepSpec
@@ -42,6 +43,7 @@ __all__ = [
     "BankedGroup",
     "CampaignCheckpoint",
     "campaign_status",
+    "campaigns",
 ]
 
 
@@ -62,17 +64,8 @@ class BankedGroup:
     states: dict[int, streaming.CellState]
 
 
-def _write_atomic(path: Path, record: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(record, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_record(path: Path, record: dict) -> None:
+    write_atomic(path, [json.dumps(record, sort_keys=True).encode("utf-8")])
 
 
 class CampaignCheckpoint:
@@ -91,7 +84,7 @@ class CampaignCheckpoint:
 
     def write_manifest(self, n_groups: int) -> None:
         """Publish the campaign's shape (idempotent; same bytes every run)."""
-        _write_atomic(
+        _write_record(
             self.directory / "manifest.json",
             {
                 "format": FORMAT_VERSION,
@@ -107,7 +100,7 @@ class CampaignCheckpoint:
 
     def bank(self, group: WorkGroup, states: dict[int, streaming.CellState]) -> None:
         """Atomically persist one completed group's reducer states."""
-        _write_atomic(
+        _write_record(
             self.directory / f"group-{group.index}.json",
             {
                 "format": FORMAT_VERSION,
@@ -149,8 +142,7 @@ class CampaignCheckpoint:
         """Delete the checkpoint directory (after the artifact ships)."""
         if not self.directory.is_dir():
             return
-        for path in self.directory.glob("*.json"):
-            path.unlink(missing_ok=True)
+        remove_records(self.directory)
         try:
             self.directory.rmdir()
         except OSError:
@@ -170,6 +162,14 @@ def _read_manifest(directory: Path, *, sweep_key: str | None = None) -> dict | N
     return record
 
 
+def campaigns(store: ArtifactStore) -> Iterator[tuple[dict, int]]:
+    """Every readable campaign checkpoint: its manifest and banked group count."""
+    for directory in store.campaign_dirs():
+        record = _read_manifest(directory)
+        if record is not None:
+            yield record, sum(1 for _ in directory.glob("group-*.json"))
+
+
 def campaign_status(
     store: ArtifactStore, spec: SweepSpec
 ) -> tuple[int, int, int] | None:
@@ -181,10 +181,7 @@ def campaign_status(
     ``None`` when no checkpoint exists.
     """
     key = spec_key(spec)
-    for directory in store.campaign_dirs():
-        record = _read_manifest(directory, sweep_key=key)
-        if record is None:
-            continue
-        done = sum(1 for _ in directory.glob("group-*.json"))
-        return done, int(record["n_groups"]), int(record["group_target"])
+    for record, done in campaigns(store):
+        if record.get("sweep_key") == key:
+            return done, int(record["n_groups"]), int(record["group_target"])
     return None

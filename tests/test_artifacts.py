@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import tempfile
 from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import artifacts, scenarios
+from repro.artifacts import codec
 from repro.artifacts.codec import (
     canonical_json,
     decode_array,
@@ -152,6 +158,194 @@ class TestStore:
         assert list(store.entries()) == []
 
 
+_ARRAYS = hnp.arrays(
+    dtype=st.sampled_from([np.dtype("<f8"), np.dtype("<i8"), np.dtype("?")]),
+    shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+)
+
+
+def _assert_same(out, expected) -> None:
+    """Structural equality, arrays compared bit for bit."""
+    if isinstance(expected, np.ndarray):
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == expected.dtype.newbyteorder("<")
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.astype(out.dtype).tobytes()
+    elif isinstance(expected, dict):
+        assert isinstance(out, dict) and list(out) == list(expected)
+        for key in expected:
+            _assert_same(out[key], expected[key])
+    elif isinstance(expected, list):
+        assert isinstance(out, list) and len(out) == len(expected)
+        for a, b in zip(out, expected):
+            _assert_same(a, b)
+    else:
+        assert out == expected
+
+
+class TestRecordFormat:
+    """The on-disk framing: a JSON header line, then the raw array bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays=st.lists(_ARRAYS, min_size=1, max_size=4))
+    def test_arrays_round_trip_bit_identically(self, arrays):
+        payload = {
+            "first": arrays[0],
+            "nested": {"items": list(arrays), "pair": [arrays[-1], {"deep": arrays[0]}]},
+            "count": len(arrays),
+            "label": "x",
+            "nothing": None,
+        }
+        with tempfile.TemporaryDirectory() as root:
+            store = artifacts.ArtifactStore(root)
+            store.save(artifacts.KIND_SESSION, Scenario(name="t"), payload)
+            _assert_same(store.load(artifacts.KIND_SESSION, Scenario(name="t")), payload)
+
+    def test_arrays_are_little_endian_and_aligned_on_disk(self, tmp_path):
+        store = artifacts.ArtifactStore(tmp_path)
+        odd = np.array([True, False, True])  # 3 bytes: the next array needs padding
+        big = np.arange(5.0).astype(">f8")
+        path = store.save(artifacts.KIND_SESSION, "spec", {"odd": odd, "big": big})
+        header, tail = path.read_bytes().split(b"\n", 1)
+        arrays = json.loads(header)["payload"]
+        assert arrays["odd"]["__array__"]["offset"] == 0
+        assert arrays["big"]["__array__"] == {
+            "dtype": "<f8",
+            "shape": [5],
+            "offset": 8,
+            "nbytes": 40,
+        }
+        assert tail == odd.tobytes() + bytes(5) + big.astype("<f8").tobytes()
+        out = store.load(artifacts.KIND_SESSION, "spec")
+        assert out["big"].dtype == np.dtype("<f8") and out["big"].flags.aligned
+        assert np.array_equal(out["big"], big)
+
+    def test_two_saves_write_identical_bytes(self, tmp_path):
+        first = artifacts.ArtifactStore(tmp_path / "a")
+        second = artifacts.ArtifactStore(tmp_path / "b")
+        scenario = Scenario(name="t")
+        a = first.save_simulation(scenario, _tiny_result())
+        b = second.save_simulation(scenario, _tiny_result())
+        assert a.read_bytes() == b.read_bytes()
+        assert first.save_simulation(scenario, _tiny_result()).read_bytes() == a.read_bytes()
+
+    def test_header_holds_format_kind_spec_and_payload(self, tmp_path):
+        store = artifacts.ArtifactStore(tmp_path)
+        scenario = Scenario(name="t")
+        path = store.save_simulation(scenario, _tiny_result())
+        line = path.read_bytes().split(b"\n", 1)[0]
+        header = json.loads(line)
+        assert list(header) == ["format", "kind", "spec", "payload"]
+        assert header["format"] == codec.FORMAT_VERSION
+        assert header["kind"] == artifacts.KIND_SIMULATION
+        assert b'"spec":' + canonical_json(scenario).encode() + b',"payload"' in line
+        descriptor = header["payload"]["loads"]["__array__"]
+        assert set(descriptor) == {"dtype", "shape", "offset", "nbytes"}
+
+    def test_truncated_tail_is_a_miss(self, tmp_path):
+        store = artifacts.ArtifactStore(tmp_path)
+        scenario = Scenario(name="t")
+        path = store.save_simulation(scenario, _tiny_result())
+        path.write_bytes(path.read_bytes()[:-8])
+        assert store.load_simulation(scenario) is None
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"{not json", b"[1, 2]", b'{"format": 3, "kind": "simulations", "payload": '],
+        ids=["garbage", "not-an-object", "cut-short"],
+    )
+    def test_corrupt_header_is_a_miss(self, tmp_path, header):
+        store = artifacts.ArtifactStore(tmp_path)
+        scenario = Scenario(name="t")
+        path = store.save_simulation(scenario, _tiny_result())
+        tail = path.read_bytes().split(b"\n", 1)[1]
+        path.write_bytes(header + b"\n" + tail)
+        assert store.load_simulation(scenario) is None
+
+    def test_version_2_json_record_is_a_miss(self, tmp_path):
+        store = artifacts.ArtifactStore(tmp_path)
+        scenario = Scenario(name="t")
+        result = _tiny_result()
+        path = store.path_for(artifacts.KIND_SIMULATION, scenario)
+        path.parent.mkdir(parents=True)
+        payload = {
+            "start": result.start.isoformat(),
+            "step_seconds": result.step_seconds,
+            "cluster_labels": list(result.cluster_labels),
+            **{
+                name: encode_array(getattr(result, name))
+                for name in ("capacities", "server_counts", "loads", "paid_prices")
+            },
+            "distance_histogram": encode_array(result.distance_profile.histogram),
+        }
+        record = {
+            "format": 2,
+            "kind": artifacts.KIND_SIMULATION,
+            "spec": json.loads(canonical_json(scenario)),
+            "payload": payload,
+        }
+        path.write_text(json.dumps(record))
+        assert store.load_simulation(scenario) is None
+        store.save_simulation(scenario, result)  # rebuilt over it
+        assert store.load_simulation(scenario).loads.tobytes() == result.loads.tobytes()
+
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        store = artifacts.ArtifactStore(tmp_path)
+        store.save(artifacts.KIND_SESSION, "spec", {"a": np.arange(4.0), "b": [np.zeros((2, 2))]})
+        out = store.load(artifacts.KIND_SESSION, "spec")
+        for arr in (out["a"], out["b"][0]):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        sim = Scenario(name="t")
+        store.save_simulation(sim, _tiny_result())
+        assert not store.load_simulation(sim).loads.flags.writeable
+
+    def test_save_canonicalises_the_spec_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = codec.canonical_json
+        monkeypatch.setattr(codec, "canonical_json", lambda obj: calls.append(obj) or real(obj))
+        store = artifacts.ArtifactStore(tmp_path)
+        scenario = Scenario(name="t")
+        store.save_simulation(scenario, _tiny_result())
+        assert calls == [scenario]
+        # A key from a load miss serves the following save as well.
+        calls.clear()
+        key = artifacts.keyed(Scenario(name="u"))
+        assert store.load_simulation(key) is None
+        store.save_simulation(key, _tiny_result())
+        assert len(calls) == 1
+
+    def test_object_arrays_are_refused(self, tmp_path):
+        store = artifacts.ArtifactStore(tmp_path)
+        with pytest.raises(ConfigurationError):
+            store.save(artifacts.KIND_SESSION, "spec", {"a": np.array([object()])})
+
+    def test_entries_read_only_the_header(self, tmp_path):
+        store = artifacts.ArtifactStore(tmp_path)
+        scenario = Scenario(name="t")
+        path = store.save_simulation(scenario, _tiny_result())
+        header = path.read_bytes().split(b"\n", 1)[0]
+        path.write_bytes(header + b"\n" + b"\xff" * 7)  # a tail nobody should parse
+        (entry,) = store.entries()
+        assert entry.key == path.stem
+        assert entry.spec == json.loads(canonical_json(scenario))
+        assert entry.size_bytes == path.stat().st_size
+        assert entry.mtime == path.stat().st_mtime
+
+    def test_clear_removes_orphaned_temp_files(self, tmp_path):
+        store = artifacts.ArtifactStore(tmp_path)
+        path = store.save_simulation(Scenario(name="t"), _tiny_result())
+        orphan = path.with_name(f"{path.stem}abc123.tmp")
+        orphan.write_bytes(b'{"format":3')  # a writer killed mid-record
+        campaign = store.campaign_dir("k")
+        campaign.mkdir(parents=True)
+        (campaign / "group-0xyz.tmp").write_bytes(b"")
+        assert store.clear() == 3
+        assert not orphan.exists()
+        assert not campaign.exists()
+
+
 class TestRunnerLayering:
     """scenarios.run consults the on-disk store when one is active."""
 
@@ -186,6 +380,47 @@ class TestRunnerLayering:
             second = scenarios.run(self.SCENARIO)
             assert second.loads.tobytes() == first.loads.tobytes()
             assert second.start == first.start
+        finally:
+            artifacts.reset()
+            scenarios.clear_caches()
+
+    def test_a_miss_then_publish_keys_the_scenario_once(self, tmp_path, monkeypatch):
+        from repro.scenarios import runner
+
+        artifacts.configure(tmp_path / "store")
+        calls = []
+        real = codec.canonical_json
+        monkeypatch.setattr(codec, "canonical_json", lambda obj: calls.append(obj) or real(obj))
+        try:
+            scenarios.clear_caches()
+            scenarios.run(self.SCENARIO)
+            assert sum(isinstance(obj, Scenario) for obj in calls) == 1
+            assert runner._store_key.cache_info().currsize == 1
+        finally:
+            artifacts.reset()
+            scenarios.clear_caches()
+
+    def test_stacked_replicas_skip_the_certain_miss(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        store = artifacts.configure(tmp_path / "store")
+        replicas = [
+            self.SCENARIO.derive(trace=replace(self.SCENARIO.trace, seed=seed))
+            for seed in (7, 8)
+        ]
+        loads = []
+        real = artifacts.ArtifactStore.load
+        monkeypatch.setattr(
+            artifacts.ArtifactStore,
+            "load",
+            lambda self, kind, spec: loads.append(kind) or real(self, kind, spec),
+        )
+        try:
+            scenarios.clear_caches()
+            scenarios.run_many(replicas)
+            assert artifacts.KIND_SIMULATION not in loads
+            sims = [e for e in store.entries() if e.kind == artifacts.KIND_SIMULATION]
+            assert len(sims) == 2
         finally:
             artifacts.reset()
             scenarios.clear_caches()

@@ -243,6 +243,39 @@ class TestCleanCommand:
         assert list(store.entries()) == []
 
 
+class TestStoreStatus:
+    def test_status_reports_kinds_and_resumable_campaigns(self, tmp_path, capsys):
+        from repro import sweeps
+        from repro.sweeps.checkpoint import CampaignCheckpoint
+        from repro.sweeps.planner import plan_groups
+
+        store_dir = tmp_path / "store"
+        main(["run", "--quiet", "--artifacts", str(store_dir), "fig01", "fig06"])
+        store = artifacts.ArtifactStore(store_dir)
+        spec = sweeps.get("smoke-grid")
+        checkpoint = CampaignCheckpoint(store, spec, 2)
+        checkpoint.write_manifest(4)
+        checkpoint.bank(next(iter(plan_groups(spec, 2))), {})
+        capsys.readouterr()
+
+        assert main(["store", "status", "--artifacts", str(store_dir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"store {store_dir}"
+        rows = {line.split()[0]: line.split() for line in lines[2:]}
+        figure_bytes = sum(p.stat().st_size for p in (store_dir / "figures").glob("*.json"))
+        assert rows["figures"][1:3] == ["2", f"{figure_bytes:,d}"]
+        assert "campaigns" in rows
+        assert "campaign smoke-grid: 1/4 groups banked (group target 2), resumable" in lines
+
+    def test_status_of_an_empty_store(self, tmp_path, capsys):
+        assert main(["store", "status", "--artifacts", str(tmp_path / "none")]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "(empty)"
+
+    def test_store_without_subcommand_is_usage_error(self, capsys):
+        assert main(["store"]) == 2
+        assert "status" in capsys.readouterr().err
+
+
 class TestOrchestrator:
     def test_resolve_all_is_sorted_registry(self):
         ids = resolve_figure_ids(None, True)

@@ -107,8 +107,8 @@ class TestDatasetCache:
         materialise_dataset(MARKET, SYNTHETIC)
         key = DatasetKey(market=MARKET, provider=SYNTHETIC)
         path = store.path_for(artifacts.KIND_DATASET, key)
-        record = path.read_text().replace('"real_time"', '"real_time_gone"')
-        path.write_text(record)
+        record = path.read_bytes().replace(b'"real_time"', b'"real_time_gone"')
+        path.write_bytes(record)
         calls = _count_generates(monkeypatch)
         rebuilt = materialise_dataset(MARKET, SYNTHETIC)
         assert calls["n"] == 1

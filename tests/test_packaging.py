@@ -86,6 +86,19 @@ def test_kernel_builds_from_an_empty_cache_directory(tmp_path):
     assert _native.build(cache) == cache / built[0]  # a second build reuses it
 
 
+def test_a_fresh_build_prunes_stale_libraries(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale = cache / "greedy_walk-0000000000000000.so"
+    stale.write_bytes(b"built from an older source")
+    unrelated = cache / "other.so"
+    unrelated.write_bytes(b"")
+    current = _native.build(cache)
+    assert not stale.exists()
+    assert current == cache / _native.library_name() and current.is_file()
+    assert unrelated.exists()
+
+
 def test_missing_compiler_is_a_named_import_error(tmp_path, monkeypatch):
     monkeypatch.setattr(_native.shutil, "which", lambda name: None)
     with pytest.raises(ImportError, match="needs a C compiler.*install"):

@@ -253,6 +253,17 @@ class TestCrashResume:
             scenarios.clear_caches()
 
 
+    def test_discard_removes_orphaned_temp_files(self, tmp_path):
+        store = artifacts.ArtifactStore(tmp_path / "store")
+        checkpoint = CampaignCheckpoint(store, QUAD, 2)
+        checkpoint.write_manifest(4)
+        checkpoint.bank(next(iter(plan_groups(QUAD, 2))), {})
+        # A worker killed while banking group 1 leaves its temp file.
+        (checkpoint.directory / "group-1k3j9x.tmp").write_bytes(b'{"cells"')
+        checkpoint.discard()
+        assert not checkpoint.directory.exists()
+
+
 class TestShards:
     def test_parse_shard(self):
         assert parse_shard("0/2") == (0, 2)
