@@ -122,10 +122,9 @@ def bench_sweep(jobs: int) -> dict:
         t_parallel = time.perf_counter() - t0
 
         # The pre-refactor execution shape: every point through its own
-        # run() pipeline (stacking neutered), for the stacked-path
-        # speedup.
+        # engine pass (stacking neutered), for the stacked-path speedup.
         real = runner._execute_stacked
-        runner._execute_stacked = lambda group, *args: None
+        runner._execute_stacked = lambda group, traces: [runner._execute(s) for s in group]
         try:
             scenarios.clear_caches()
             t0 = time.perf_counter()

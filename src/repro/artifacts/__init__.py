@@ -1,6 +1,6 @@
 """Persistent experiment artifacts: the cross-process memo layer.
 
-The in-process ``lru_cache`` memoisation in :mod:`repro.scenarios.runner`
+The in-process run memo in :mod:`repro.scenarios.runner`
 evaporates when a process exits, so a twenty-figure sweep re-simulates
 everything in every worker. This package adds the durable layer
 beneath it: a content-addressed on-disk store keyed on frozen

@@ -3,7 +3,7 @@
 Layout (one file per artifact, addressed by its spec's hash)::
 
     <root>/
-      simulations/<sha256>.json   # SimulationResult keyed on Scenario
+      simulations/<sha256>.json   # SimulationResult keyed on Scenario (not campaigns')
       figures/<sha256>.json       # FigureResult keyed on FigureSpec
       sweeps/<sha256>.json        # SweepResult keyed on SweepSpec
       datasets/<sha256>.json      # MarketDataset keyed on (market, provider)

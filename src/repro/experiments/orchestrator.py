@@ -130,7 +130,7 @@ def run_figures(
     """Regenerate figures, optionally across a process pool.
 
     Results come back in input order. ``jobs <= 1`` runs serially in
-    this process (sharing its warm ``lru_cache`` layer); ``jobs > 1``
+    this process (sharing its warm in-process memos); ``jobs > 1``
     spawns workers that inherit the active artifact store, which is
     then the only cross-worker cache.
 

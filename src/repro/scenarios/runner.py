@@ -7,12 +7,14 @@ Every stage is memoised on its frozen spec, so twenty experiment
 drivers sweeping thresholds against the same market regenerate
 nothing — the scenario *is* the cache key.
 
-Memoisation is two-layered. In front sits the in-process ``lru_cache``
-(cheap, per-interpreter); beneath it, when :mod:`repro.artifacts` has
-an active store, finished runs are published to the content-addressed
-on-disk store and looked up there first, so sweeps survive process
-boundaries: pool workers and warm re-invocations of the ``repro`` CLI
-load results instead of re-simulating.
+Finished runs live in one bounded in-process memo. :func:`run` fills
+it through the content-addressed on-disk store when
+:mod:`repro.artifacts` has one active: it looks a run up there first
+and publishes what it computes, so figure workers and warm
+re-invocations of the ``repro`` CLI load results instead of
+re-simulating. :func:`run_many`, the sweep executor's batch entry,
+fills the memo directly and leaves the store alone: a campaign reads
+its points back only from this process's memo.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.errors import ConfigurationError
 from repro.markets.calendar import HourlyCalendar
 from repro.markets.generator import MarketDataset
 from repro.markets.providers import SYNTHETIC, ProviderSpec, materialise_dataset
+from repro.memo import BoundedMemo, memoised, nbytes
 from repro.routing.akamai import BaselineProximityRouter
 from repro.routing.base import Router, RoutingProblem
 from repro.routing.joint import JointOptimizationRouter
@@ -137,13 +140,15 @@ def problem() -> RoutingProblem:
     return RoutingProblem(akamai_like_deployment())
 
 
-@lru_cache(maxsize=32)
+@memoised(64 << 20, weigh=nbytes)
 def trace(spec: TraceSpec, market: MarketSpec) -> TrafficTrace:
     """The traffic trace a spec describes (memoised per spec pair).
 
     ``market`` matters only for ``hour-of-week`` traces, whose length
     is the market calendar's; it is part of the key regardless so the
-    cache never aliases traces across calendars.
+    cache never aliases traces across calendars. The memo holds up to
+    64 MiB of traces: a campaign cell's 40 short replica traces stay
+    warm across its work groups, year-long traces (41 MB) still evict.
     """
     if spec.kind == "turn-of-year":
         return make_turn_of_year_trace(seed=spec.seed)
@@ -267,19 +272,17 @@ def run(scenario: Scenario) -> SimulationResult:
     95th percentiles; ``relocate_fleet`` scenarios account energy with
     the whole fleet's servers at the router's target cluster.
     """
-    return _run_cached(physical(scenario))
+    scenario = physical(scenario)
+    result = _runs.get(scenario)
+    if result is None:
+        result = _runs.put(scenario, _load_or_execute(scenario))
+    return result
 
 
-# Results computed by the stacked multi-replica path (run_many),
-# waiting for _run_cached to claim them. Keyed on the *physical*
-# (resolved, name-stripped) scenario — the same key the memo uses.
-_stacked_results: dict[Scenario, SimulationResult] = {}
-
-# Physical scenarios the lru memo has seen. Only used as a cheap
-# membership probe by run_many (lru_cache has no membership test); a
-# key surviving eviction just means a stacking opportunity is missed
-# and the scenario recomputes individually.
-_memo_keys: set[Scenario] = set()
+#: Finished runs keyed on the *physical* scenario, least recently used
+#: first. ``run`` and ``run_many`` fill it; it is the only record of
+#: which scenarios this process has memoised.
+_runs: BoundedMemo[Scenario, SimulationResult] = BoundedMemo(256)
 
 
 @lru_cache(maxsize=1024)
@@ -288,18 +291,13 @@ def _store_key(scenario: Scenario) -> artifacts.KeyedSpec:
     return artifacts.keyed(scenario)
 
 
-@lru_cache(maxsize=256)
-def _run_cached(scenario: Scenario) -> SimulationResult:
-    _memo_keys.add(scenario)
-    preloaded = _stacked_results.pop(scenario, None)
+def _load_or_execute(scenario: Scenario) -> SimulationResult:
     store = artifacts.get_store()
-    # A stacked result exists only for scenarios run_many found missing
-    # from the store, so looking it up again would be a certain miss.
-    if store is not None and preloaded is None and not artifacts.refresh_mode():
+    if store is not None and not artifacts.refresh_mode():
         cached = store.load_simulation(_store_key(scenario))
         if cached is not None:
             return cached
-    result = preloaded if preloaded is not None else _execute(scenario)
+    result = _execute(scenario)
     if store is not None:
         store.save_simulation(_store_key(scenario), result)
     return result
@@ -532,56 +530,45 @@ def _stackable(scenario: Scenario) -> bool:
     )
 
 
-def _execute_stacked(group: list[Scenario], traces: list[TrafficTrace]) -> None:
-    """Run one stack group over its replicas' traces, park results."""
+def _execute_stacked(group: list[Scenario], traces: list[TrafficTrace]) -> list[SimulationResult]:
+    """One stack group's results, from one fused pass over its traces."""
     first = group[0]
     data, prob, options, server_counts = _engine_inputs(first)
-    results = simulate_many(traces, data, prob, build_router(first), options, server_counts)
-    for scenario, result in zip(group, results):
-        _stacked_results[scenario] = result
+    return simulate_many(traces, data, prob, build_router(first), options, server_counts)
 
 
 def run_many(specs: Iterable[Scenario]) -> tuple[SimulationResult, ...]:
-    """Execute many scenarios, stacking replica groups into fused passes.
+    """Execute many scenarios into the memo, stacking replica groups.
 
-    Scenarios that differ only in their traffic seed — a sweep cell's
-    seeded replicas, or the replicas' shared baselines — are routed
-    through :func:`repro.sim.engine.simulate_many` as one stacked pass
-    (one price/limit precompute, fused routing calls) instead of N
-    full :func:`run` pipelines, and every stack in the call shares one
-    build of each trace it replays. Everything else — already-memoised
-    scenarios, scenarios the artifact store already holds,
-    non-stackable configurations, singleton stacks — flows through the
-    ordinary :func:`run` path. Results are bit-identical either way —
-    the stacked engine is pinned to :func:`simulate` — so memo entries
-    and published artifacts do not depend on which path ran.
+    The sweep executor's batch entry. Scenarios that differ only in
+    their traffic seed — a sweep cell's seeded replicas, or the
+    replicas' shared baselines — are routed through
+    :func:`repro.sim.engine.simulate_many` as one stacked pass (one
+    price/limit precompute, fused routing calls); the rest run one by
+    one, baselines before the ``follow_95_5`` runs capped by them.
+    Results go straight into the run memo, where :func:`run` finds
+    them: this path neither reads nor publishes simulation artifacts,
+    so a point another process published is recomputed here. Results
+    are bit-identical either way — the stacked engine is pinned to
+    :func:`simulate`.
     """
     runs = [physical(s) for s in specs]
-
-    store = artifacts.get_store()
-    use_store = store is not None and not artifacts.refresh_mode()
-    pending: list[Scenario] = []
-    for scenario in dict.fromkeys(runs):
-        if scenario in _memo_keys or scenario in _stacked_results:
-            continue
-        if use_store and store.has(artifacts.KIND_SIMULATION, _store_key(scenario)):
-            continue
-        pending.append(scenario)
+    results = {scenario: _runs.get(scenario) for scenario in runs}
+    pending = [scenario for scenario, result in results.items() if result is None]
 
     stacks: dict[Scenario, list[Scenario]] = {}
     for scenario in pending:
         if _stackable(scenario):
             stacks.setdefault(_stack_key(scenario), []).append(scenario)
-    groups = [group for group in stacks.values() if len(group) >= 2]
-    # A cell's replicas and their baselines replay the same trace seeds,
-    # more of them than the trace memo holds: build each trace once here
-    # and hand the same object to every stack that replays it.
-    keys = dict.fromkeys((s.trace, s.market) for group in groups for s in group)
-    built = {key: trace(*key) for key in keys}
-    for group in groups:
-        _execute_stacked(group, [built[s.trace, s.market] for s in group])
+    for group in (group for group in stacks.values() if len(group) >= 2):
+        traces = [trace(s.trace, s.market) for s in group]
+        for scenario, result in zip(group, _execute_stacked(group, traces)):
+            results[scenario] = _runs.put(scenario, result)
+    for scenario in sorted(pending, key=lambda s: s.follow_95_5):
+        if results[scenario] is None:
+            results[scenario] = _runs.put(scenario, _execute(scenario))
 
-    return tuple(run(scenario) for scenario in runs)
+    return tuple(results[scenario] for scenario in runs)
 
 
 def clear_caches() -> None:
@@ -592,7 +579,6 @@ def clear_caches() -> None:
     ``cache_clear`` handles. The on-disk artifact store is *not*
     touched; that is ``repro clean``'s job.
     """
-    for memo in (_dataset_cached, problem, trace, _baseline_cached, _run_cached, _store_key):
+    for memo in (_dataset_cached, problem, trace, _baseline_cached, _store_key):
         memo.cache_clear()
-    _stacked_results.clear()
-    _memo_keys.clear()
+    _runs.clear()

@@ -28,14 +28,17 @@ layer is its own module and this one only wires them together:
    unions shard banks into an artifact bitwise equal to a
    single-machine run.
 
-Beneath all of it sit the content-addressed caches: workers publish
-every finished simulation (and every materialised market data set) to
-the store, so re-runs and overlapping sweeps load instead of
-recompute, and the aggregated :class:`SweepResult` itself is stored
-under the spec's hash. A parallel run's artifacts are byte-identical
-to a serial run's: simulation payloads are deterministic encodings,
-and finalisation from replica slots is independent of group completion
-order.
+A campaign stores only what it reads back: the materialised market
+data set (shared by every worker, shard and re-run), the checkpoint,
+and the aggregated :class:`SweepResult` under the spec's hash.
+Point and baseline simulations stay in each process's run memo —
+nothing reads them once their metrics are folded, so publishing them
+would cost more than recomputing the rare overlap. The price is that a
+campaign recomputes a point ``repro run`` already published (replica 0
+of a figure's scenario), and every pool worker computes its own
+groups' baselines. A parallel run's artifacts are byte-identical to a
+serial run's: finalisation from replica slots is independent of group
+completion order.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ def _warm_group(group: list[tuple[int, object, object]]) -> None:
     to :func:`repro.scenarios.runner.run_many` in one call: seeded
     replica groups (and the baselines, which differ only in trace
     seed) fuse into single engine passes, and everything lands in the
-    runner's memo before :func:`point_metrics` asks for it.
+    runner's memo — not the artifact store — before
+    :func:`point_metrics` asks for it.
     """
     specs = []
     for _, scenario, _ in group:
@@ -142,11 +146,11 @@ def run_sweep(
     """Execute a campaign, optionally across a process pool and shards.
 
     ``force`` recomputes everything: the sweep artifact and any banked
-    checkpoint are discarded, and simulation-artifact reads are
-    suspended for the run (fresh results still overwrite the store). A
-    forced run also starts from a cold in-process cache, for the same
-    reason ``run_figures`` does — memo entries that were *loaded*
-    rather than computed would leak stale results past the refresh.
+    checkpoint are discarded, and the run starts from a cold in-process
+    run memo (campaign simulations never come from the artifact store,
+    so the memo is the only place an old result could be served from).
+    Artifact reads stay suspended for the run, so a materialised market
+    data set is rebuilt and republished too.
 
     ``shard=(i, n)`` runs only this machine's slice of the group
     partition and banks it in the checkpoint; the return value is

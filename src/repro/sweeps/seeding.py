@@ -16,8 +16,10 @@ derivation is pure arithmetic — stable across processes, platforms,
 and numpy versions (the hash is part of numpy's API contract).
 
 Replica 0 keeps the base seed untouched, so the first ensemble member
-*is* the point-estimate run every figure already publishes — warm
-artifact stores make replica 0 free.
+*is* the point-estimate run a figure computes, and the ensemble's
+spread is measured around the figure's own number. (A campaign still
+recomputes replica 0: its simulations stay in memory and never read
+the figure's published result.)
 """
 
 from __future__ import annotations

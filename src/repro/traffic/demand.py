@@ -28,17 +28,16 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.geo.states import StateInfo, all_states
 from repro.markets.model import ar1_filter
+from repro.memo import BoundedMemo, nbytes
 from repro.units import HOURS_PER_DAY
 
 __all__ = ["DemandModelConfig", "DemandModel"]
 
-#: Recently used diurnal curves, least recently used first (see
-#: :meth:`DemandModel.diurnal_factor`); a figure pass or campaign
-#: touches only a handful of distinct hour grids. The curves it keeps
-#: stay under ``_DIURNAL_MEMO_BYTES`` (a 24-day five-minute curve is
-#: 2.7 MB, a year-long one 41 MB); the newest is always kept.
-_DIURNAL_MEMO: dict[tuple, np.ndarray] = {}
-_DIURNAL_MEMO_BYTES = 64 << 20
+#: Recently used diurnal curves (see :meth:`DemandModel.diurnal_factor`);
+#: a figure pass or campaign touches only a handful of distinct hour
+#: grids. The curves it keeps stay under 64 MiB (a 24-day five-minute
+#: curve is 2.7 MB, a year-long one 41 MB); the newest is always kept.
+_DIURNAL_MEMO: BoundedMemo[tuple, np.ndarray] = BoundedMemo(64 << 20, weigh=nbytes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,16 +130,11 @@ class DemandModel:
             hours.shape,
             hours.tobytes(),
         )
-        factor = _DIURNAL_MEMO.pop(key, None)
+        factor = _DIURNAL_MEMO.get(key)
         if factor is None:
             factor = self._diurnal_factor(hours)
             factor.setflags(write=False)
-        _DIURNAL_MEMO[key] = factor
-        while (
-            len(_DIURNAL_MEMO) > 1
-            and sum(curve.nbytes for curve in _DIURNAL_MEMO.values()) > _DIURNAL_MEMO_BYTES
-        ):
-            _DIURNAL_MEMO.pop(next(iter(_DIURNAL_MEMO)), None)
+            _DIURNAL_MEMO.put(key, factor)
         return factor
 
     def _diurnal_factor(self, hour_of_day_utc: np.ndarray) -> np.ndarray:

@@ -81,6 +81,11 @@ class TrafficTrace:
     def duration_hours(self) -> float:
         return self.n_steps * self.step_seconds / SECONDS_PER_HOUR
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the trace's arrays (demand and non-US series)."""
+        return self.demand.nbytes + (0 if self.non_us is None else self.non_us.nbytes)
+
     def time_axis(self) -> list[datetime]:
         step = timedelta(seconds=self.step_seconds)
         return [self.start + i * step for i in range(self.n_steps)]

@@ -408,19 +408,26 @@ class TestRunnerLayering:
             self.SCENARIO.derive(trace=replace(self.SCENARIO.trace, seed=seed))
             for seed in (7, 8)
         ]
-        loads = []
-        real = artifacts.ArtifactStore.load
-        monkeypatch.setattr(
-            artifacts.ArtifactStore,
-            "load",
-            lambda self, kind, spec: loads.append(kind) or real(self, kind, spec),
-        )
+        calls = []
+
+        def recording(name, real):
+            def recorded(self, kind, *args):
+                calls.append((name, kind))
+                return real(self, kind, *args)
+
+            return recorded
+
+        for name in ("has", "load", "save"):
+            real = getattr(artifacts.ArtifactStore, name)
+            monkeypatch.setattr(artifacts.ArtifactStore, name, recording(name, real))
         try:
             scenarios.clear_caches()
-            scenarios.run_many(replicas)
-            assert artifacts.KIND_SIMULATION not in loads
-            sims = [e for e in store.entries() if e.kind == artifacts.KIND_SIMULATION]
-            assert len(sims) == 2
+            results = scenarios.run_many(replicas)
+            assert [c for c in calls if c[1] == artifacts.KIND_SIMULATION] == []
+            assert [e for e in store.entries() if e.kind == artifacts.KIND_SIMULATION] == []
+            # Both replicas are memoised: run() returns them without the store.
+            assert [scenarios.run(r) for r in replicas] == list(results)
+            assert [c for c in calls if c[1] == artifacts.KIND_SIMULATION] == []
         finally:
             artifacts.reset()
             scenarios.clear_caches()

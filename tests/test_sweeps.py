@@ -290,24 +290,23 @@ class TestExecutor:
         assert sweeps.run_sweep(spec) == first
 
     def test_simulations_reused_when_sweep_artifact_missing(self, tmp_path, monkeypatch):
-        """Incrementality below the sweep layer: stored simulations
-        satisfy a re-aggregation without any engine execution."""
+        """Incrementality below the sweep layer: the run memo satisfies
+        a re-aggregation in the same process without any engine
+        execution. Campaign simulations live only there — the store
+        holds none, so a cold process recomputes them."""
         store = artifacts.configure(tmp_path / "store")
         spec = tiny_spec()
-        # Cold in-process caches: every simulation must compute and
-        # publish to disk (a warm lru would satisfy runs without ever
-        # writing the artifacts this test relies on).
         scenarios.clear_caches()
         first = sweeps.run_sweep(spec)
         store.path_for(artifacts.KIND_SWEEP, spec).unlink()
-        scenarios.clear_caches()
+        assert not any(e.kind == artifacts.KIND_SIMULATION for e in store.entries())
         from repro.scenarios import runner
 
-        monkeypatch.setattr(
-            runner,
-            "_execute",
-            lambda scenario: pytest.fail("engine ran despite stored simulations"),
-        )
+        def refuse(*args):
+            pytest.fail("engine ran despite memoised simulations")
+
+        monkeypatch.setattr(runner, "_execute", refuse)
+        monkeypatch.setattr(runner, "_execute_stacked", refuse)
         assert sweeps.run_sweep(spec) == first
 
     def test_force_recomputes_through_refresh_mode(self, tmp_path, monkeypatch):
@@ -343,7 +342,7 @@ class TestParallelEquivalence:
         assert spec.n_replicas == 8
 
         artifacts.configure(tmp_path / "serial")
-        scenarios.clear_caches()  # cold start: serial must publish every sim
+        scenarios.clear_caches()  # cold start: serial must simulate every point
         serial = sweeps.run_sweep(spec, jobs=1)
         scenarios.clear_caches()
         artifacts.configure(tmp_path / "parallel")
@@ -351,15 +350,16 @@ class TestParallelEquivalence:
         artifacts.reset()
 
         assert serial == parallel
-        for kind in (artifacts.KIND_SIMULATION, artifacts.KIND_SWEEP):
-            serial_files = {
-                p.name: p.read_bytes() for p in (tmp_path / "serial" / kind).glob("*.json")
-            }
-            parallel_files = {
-                p.name: p.read_bytes() for p in (tmp_path / "parallel" / kind).glob("*.json")
-            }
-            assert serial_files == parallel_files
-            assert serial_files  # non-vacuous
+
+        def files(root, kind):
+            return {p.name: p.read_bytes() for p in (tmp_path / root / kind).glob("*")}
+
+        serial_sweeps = files("serial", artifacts.KIND_SWEEP)
+        assert serial_sweeps  # non-vacuous
+        assert serial_sweeps == files("parallel", artifacts.KIND_SWEEP)
+        # Campaign simulations stay in memory: neither store holds one.
+        assert files("serial", artifacts.KIND_SIMULATION) == {}
+        assert files("parallel", artifacts.KIND_SIMULATION) == {}
 
     def test_smoke_grid_reports_intervals(self, tmp_path):
         artifacts.configure(tmp_path / "serial")

@@ -4,8 +4,9 @@ Three guarantees the executor rework must not break:
 
 * a ``joint`` sweep over the penalty axes is **byte-identical**
   between ``--jobs 1`` and ``--jobs 4`` through the new stacked path,
-* the stacked replica path produces artifacts byte-identical to the
-  pre-refactor execution (every point through its own ``run``), and
+* the stacked replica path produces every point's and baseline's
+  result bit-identical to the pre-refactor execution (every point
+  through its own engine pass), and the same sweep artifact bytes, and
 * sweep/simulation artifact *hashes* are unchanged — pinned as
   literal digests, so an accidental spec- or codec-shape change shows
   up as a loud diff instead of a silently cold store.
@@ -13,7 +14,10 @@ Three guarantees the executor rework must not break:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import artifacts, scenarios, sweeps
+from repro.artifacts.codec import encode_simulation_result
 from repro.scenarios import runner
 from repro.sweeps.spec import SweepAxis, expand
 
@@ -21,7 +25,35 @@ from repro.sweeps.spec import SweepAxis, expand
 def _store_bytes(root):
     out = {}
     for kind in (artifacts.KIND_SIMULATION, artifacts.KIND_SWEEP):
-        out[kind] = {p.name: p.read_bytes() for p in (root / kind).glob("*.json")}
+        out[kind] = {p.name: p.read_bytes() for p in (root / kind).glob("*")}
+    return out
+
+
+def _per_point(group, traces):
+    """``_execute_stacked`` with stacking neutered: one engine pass per
+    scenario, exactly the pre-refactor executor."""
+    return [runner._execute(scenario) for scenario in group]
+
+
+def _fingerprint(result):
+    """Every field of a result: arrays as (dtype, shape, bytes), scalars as is."""
+    fields = encode_simulation_result(result)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            fields[name] = (value.dtype.str, value.shape, value.tobytes())
+    return fields
+
+
+def _memoised_results(spec):
+    """Every point's and baseline's result, as the run memo holds it."""
+    out = {}
+    for point in expand(spec):
+        s = point.scenario
+        for scenario in (s, scenarios.baseline_scenario(s.market, s.trace, s.provider)):
+            key = runner.physical(scenario)
+            result = runner._runs.get(key)
+            assert result is not None, "a campaign result left the memo"
+            out[key] = _fingerprint(result)
     return out
 
 
@@ -46,8 +78,11 @@ class TestJointSweepParallelEquivalence:
         assert serial == parallel
         serial_bytes = _store_bytes(tmp_path / "serial")
         parallel_bytes = _store_bytes(tmp_path / "parallel")
-        assert serial_bytes == parallel_bytes
-        assert serial_bytes[artifacts.KIND_SIMULATION]  # non-vacuous
+        assert serial_bytes[artifacts.KIND_SWEEP]  # non-vacuous
+        assert serial_bytes[artifacts.KIND_SWEEP] == parallel_bytes[artifacts.KIND_SWEEP]
+        # Campaign simulations stay in memory: neither store holds one.
+        assert serial_bytes[artifacts.KIND_SIMULATION] == {}
+        assert parallel_bytes[artifacts.KIND_SIMULATION] == {}
 
     def test_serial_run_actually_stacks(self, monkeypatch):
         """The fused path must fire for the joint sweep — every cell's
@@ -69,22 +104,28 @@ class TestJointSweepParallelEquivalence:
 
 class TestStackedMatchesPreRefactorExecution:
     def test_stacking_disabled_produces_identical_artifacts(self, tmp_path, monkeypatch):
-        """With stacking neutered, every point falls back to its own
-        ``run`` pipeline — exactly the pre-refactor executor. Results
-        and artifact bytes must not depend on which path ran."""
+        """With stacking neutered, every point runs its own engine pass
+        — exactly the pre-refactor executor. Every point's and
+        baseline's result, and the sweep artifact's bytes, must not
+        depend on which path ran."""
         spec = sweeps.get("joint-penalty-grid")
 
         artifacts.configure(tmp_path / "stacked")
         scenarios.clear_caches()
         stacked = sweeps.run_sweep(spec)
+        stacked_results = _memoised_results(spec)
 
-        monkeypatch.setattr(runner, "_execute_stacked", lambda group, *args: None)
+        monkeypatch.setattr(runner, "_execute_stacked", _per_point)
         artifacts.configure(tmp_path / "plain")
         scenarios.clear_caches()
         plain = sweeps.run_sweep(spec)
+        plain_results = _memoised_results(spec)
         artifacts.reset()
+        scenarios.clear_caches()
 
         assert stacked == plain
+        assert len(stacked_results) == spec.n_points + spec.n_replicas
+        assert stacked_results == plain_results
         assert _store_bytes(tmp_path / "stacked") == _store_bytes(tmp_path / "plain")
 
 
@@ -113,14 +154,18 @@ def _count_trace_builds(monkeypatch) -> list[int]:
     return builds
 
 
+#: The entry bound the trace memo had before it was bounded by bytes.
+COUNT_BOUNDED_TRACE_MEMO = 32
+
+
 class TestTraceBuildsPerWorkGroup:
     """A cell's replicas and their baselines replay the same trace seeds.
-    Each work group builds each of them once, even when there are more
-    replicas than the trace memo has slots."""
+    A campaign builds each of them once, although there are more
+    replicas than a count-bounded trace memo would have slots."""
 
     def test_one_run_many_builds_each_replica_trace_once(self, monkeypatch):
         spec = _campaign_slice(1)
-        assert spec.n_replicas > runner.trace.cache_info().maxsize
+        assert spec.n_replicas > COUNT_BOUNDED_TRACE_MEMO
         cell = [point.scenario for point in expand(spec)]
         baselines = [scenarios.baseline_scenario(s.market, s.trace, s.provider) for s in cell]
         scenarios.clear_caches()
@@ -133,9 +178,10 @@ class TestTraceBuildsPerWorkGroup:
         scenarios.clear_caches()
         builds = _count_trace_builds(monkeypatch)
         sweeps.run_sweep(spec)
-        # Two work groups (one per cell), each building every replica
-        # seed once; the second group's baselines are already memoised.
-        assert builds[0] == 2 * spec.n_replicas
+        # Two work groups (one per cell) replay the same replica seeds;
+        # the byte-bounded trace memo keeps all of them for the second.
+        assert builds[0] == spec.n_replicas
+        assert len(runner.trace.memo) == spec.n_replicas
 
 
 class TestArtifactHashPins:

@@ -68,14 +68,14 @@ class TestDiurnal:
 
         model = DemandModel()
         curve_bytes = model.diurnal_factor(np.arange(100, dtype=float)).nbytes
-        monkeypatch.setattr(demand, "_DIURNAL_MEMO_BYTES", 3 * curve_bytes)
+        monkeypatch.setattr(demand._DIURNAL_MEMO, "limit", 3 * curve_bytes)
         grids = [np.arange(100, dtype=float) + k / 8 for k in range(8)]
         for grid in grids:
             newest = model.diurnal_factor(grid)
         assert len(demand._DIURNAL_MEMO) == 3
         assert model.diurnal_factor(grids[-1]) is newest
         # A curve above the bound on its own is still kept, alone.
-        monkeypatch.setattr(demand, "_DIURNAL_MEMO_BYTES", curve_bytes // 2)
+        monkeypatch.setattr(demand._DIURNAL_MEMO, "limit", curve_bytes // 2)
         model.diurnal_factor(grids[0])
         assert len(demand._DIURNAL_MEMO) == 1
 
