@@ -590,8 +590,8 @@ def simulate_per_step(
 
     This is the original §6.1 loop the batched pipeline replaces. It
     is kept as the ground truth for equivalence tests and as the
-    baseline for the engine benchmark; the two must agree on loads,
-    costs, and distance histograms.
+    denominator of the ``engine`` section of ``benchmarks/gate.py``;
+    the two must agree on loads, costs, and distance histograms.
     """
     if trace.state_codes != problem.state_codes:
         raise ConfigurationError("trace state order does not match routing problem")

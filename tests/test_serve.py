@@ -230,6 +230,32 @@ def test_cancelled_request_does_not_burn_a_horizon_step():
     assert stats.requests_total == stats.resolved_total == 3
 
 
+def test_queued_burst_coalesces_into_one_feed():
+    rows = _rows(32)
+
+    async def drive():
+        session = scenarios.open_session(_scenario(), n_steps=32)
+        batcher = MicroBatcher(session, window_ms=50.0, max_batch=64)
+        # Enqueue before the collector exists, so the whole burst is
+        # waiting when the first batch is assembled.
+        tasks = [asyncio.ensure_future(batcher.route(row)) for row in rows]
+        await asyncio.sleep(0)
+        await batcher.start()
+        done = await asyncio.gather(*tasks)
+        stats = batcher.stats
+        await batcher.stop()
+        return done, stats
+
+    done, stats = asyncio.run(drive())
+    assert stats.batches_total == 1
+    assert stats.batch_size_mean == 32
+    assert [step for step, _ in done] == list(range(32))
+    replay = scenarios.open_session(_scenario(), n_steps=32)
+    replay.feed(rows)
+    served = np.stack([allocation.sum(axis=0) for _, allocation in done])
+    assert np.array_equal(served, replay.result().loads)
+
+
 def test_batcher_stats_reconcile_after_mixed_outcomes():
     rows = _rows(8)
 
