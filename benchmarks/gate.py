@@ -257,9 +257,9 @@ def sharded_serving():
 
     def replayed(bodies: list[dict]) -> bool:
         """Each shard's loads against an offline rolling replay of its rows."""
-        for shard in {body.get("shard", 0) for body in bodies}:
+        for shard in {body["shard"] for body in bodies}:
             members = sorted(
-                (b["step"], i) for i, b in enumerate(bodies) if b.get("shard", 0) == shard
+                (b["step"], i) for i, b in enumerate(bodies) if b["shard"] == shard
             )
             replay = scenarios.open_rolling_session(scenario, window_steps=window)
             loads = replay.feed(np.stack([rows[i] for _, i in members])).sum(axis=1)

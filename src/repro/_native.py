@@ -1,6 +1,8 @@
-"""Build and load the C greedy walk (``greedy_walk.c``) through ctypes.
+"""Build and load repro's C kernels (``kernels.c``) through ctypes.
 
-The kernel is compiled on first import with the system C compiler into
+One library holds them all: ``greedy_walk``, the routers' greedy spill
+walk, and ``ar1_rows``, the AR(1) recursion of the market and traffic
+noise. It is compiled on first import with the system C compiler into
 the package's ``__pycache__`` (or ``~/.cache/repro`` when that is not
 writable), under a file name keyed on the sha256 of the source, the
 compiler flags and the platform, so an edited source, changed flags or
@@ -8,7 +10,7 @@ another machine architecture build afresh and a stale or foreign
 library is never loaded. The build writes a temporary file and
 publishes it with ``os.replace``: processes that import at the same
 moment each build and the last rename wins, harmlessly, with no lock.
-A fresh build then deletes the directory's other ``greedy_walk-*.so``
+A fresh build then deletes the directory's other ``kernels-*.so``
 files, built from an older source, flag set or platform, so the cache
 holds one library (a checkout shared by two machine types rebuilds
 when it switches); a process that still has one loaded keeps its mapping.
@@ -29,16 +31,16 @@ import sys
 import tempfile
 from pathlib import Path
 
-SOURCE = Path(__file__).with_name("greedy_walk.c")
+SOURCE = Path(__file__).with_name("kernels.c")
 
-#: ``-ffp-contract=off`` keeps every take a separate IEEE-754 multiply
-#: or subtract (no fused operations); ``-ffast-math`` would break the
-#: bitwise contract and must never be added.
+#: ``-ffp-contract=off`` keeps every multiply, add and subtract a
+#: separate IEEE-754 operation (no fused ones); ``-ffast-math`` would
+#: break the bitwise contract and must never be added.
 FLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-shared", "-fPIC")
 
 COMPILERS = ("cc", "gcc", "clang")
 
-#: ``greedy_walk`` return codes (see ``greedy_walk.c``).
+#: ``greedy_walk`` return codes (see ``kernels.c``).
 WALK_OK, WALK_INFEASIBLE, WALK_BAD_INDEX, WALK_NOMEM = range(4)
 
 _I64 = ctypes.c_int64
@@ -62,7 +64,7 @@ def library_name() -> str:
     """
     key = " ".join((*FLAGS, sys.platform, platform.machine())).encode()
     digest = hashlib.sha256(SOURCE.read_bytes() + key).hexdigest()
-    return f"greedy_walk-{digest[:16]}.so"
+    return f"kernels-{digest[:16]}.so"
 
 
 def build(directory: Path) -> Path:
@@ -73,7 +75,7 @@ def build(directory: Path) -> Path:
     compiler = find_compiler()
     if compiler is None:
         raise ImportError(
-            "repro.routing needs a C compiler to build its greedy-walk kernel, and none of "
+            "repro needs a C compiler to build its kernels, and none of "
             f"{', '.join(COMPILERS)} is on PATH: install one (e.g. `apt install gcc`, "
             "`dnf install gcc` or `xcode-select --install`)"
         )
@@ -90,14 +92,14 @@ def build(directory: Path) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    for stale in directory.glob("greedy_walk-*.so"):
+    for stale in directory.glob("kernels-*.so"):
         if stale != target:
             stale.unlink(missing_ok=True)
     return target
 
 
-def load(directory: Path | None = None):
-    """The ctypes ``greedy_walk`` function, built into ``directory``.
+def load(directory: Path | None = None) -> ctypes.CDLL:
+    """The kernel library, built into ``directory``, with typed functions.
 
     Without a directory, builds into the package's ``__pycache__``,
     falling back to ``~/.cache/repro`` when that cannot be written
@@ -110,10 +112,16 @@ def load(directory: Path | None = None):
             path = build(SOURCE.parent / "__pycache__")
         except OSError:
             path = build(Path.home() / ".cache" / "repro")
-    walk = ctypes.CDLL(str(path)).greedy_walk
-    walk.restype = ctypes.c_int
-    walk.argtypes = [_I64] * 4 + [_PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _PTR, _PTR]
-    return walk
+    library = ctypes.CDLL(str(path))
+    library.greedy_walk.restype = ctypes.c_int
+    library.greedy_walk.argtypes = (
+        [_I64] * 4 + [_PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _PTR, _PTR]
+    )
+    library.ar1_rows.restype = None
+    library.ar1_rows.argtypes = [_I64, _I64, ctypes.c_double, _PTR]
+    return library
 
 
-greedy_walk = load()
+_library = load()
+greedy_walk = _library.greedy_walk
+ar1_rows = _library.ar1_rows

@@ -1,4 +1,19 @@
-/* The greedy spill walk of repro.routing.base, over a batch of steps.
+/* The native kernels of repro, built into one library by repro._native.
+ *
+ * greedy_walk  the routers' greedy spill walk (repro.routing.base)
+ * ar1_rows     the AR(1) recursion of repro.markets.model.ar1_filter
+ *
+ * Both repeat, on the same IEEE-754 doubles in the same order, the
+ * arithmetic of the code they replaced, so their outputs are bitwise
+ * equal to it. Build with -ffp-contract=off and never -ffast-math.
+ */
+
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* greedy_walk: the greedy spill walk of repro.routing.base, over a batch
+ * of steps.
  *
  * For every step i and every state s in that step's processing order,
  * pour the state's demand down its preference row: take
@@ -13,7 +28,7 @@
  *
  * Every comparison and subtraction is the one the Python walk made, on
  * the same IEEE-754 doubles in the same order, so the takes are bitwise
- * equal. Build with -ffp-contract=off and never -ffast-math.
+ * equal.
  *
  * Inputs (all C-contiguous):
  *   demand   (n_steps, n_states)
@@ -32,10 +47,6 @@
  * WALK_BAD_INDEX when an order, preference, block or output row index
  * is out of range, or WALK_NOMEM.
  */
-
-#include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
 
 enum { WALK_OK = 0, WALK_INFEASIBLE = 1, WALK_BAD_INDEX = 2, WALK_NOMEM = 3 };
 
@@ -142,4 +153,29 @@ done:
     free(listed);
     free(rest);
     return status;
+}
+
+/* ar1_rows: y[t] = phi*y[t-1] + x[t] along each of n_rows C-contiguous
+ * rows of n samples, in place. Sample 0 of a row is its y[0]; the others
+ * hold the scaled shocks x[t] on entry and y[t] on return.
+ *
+ * This is scipy.signal.lfilter([1.0], [1.0, -phi], x, zi=phi*y[0]) to
+ * the bit: its order-1 direct form II transposed runs y = z + 1.0*x and
+ * then z = x*0.0 - y*(-phi), whose 1.0*x and x*0.0 terms keep lfilter's
+ * signed zeros and its NaN where an infinite shock meets the zero tap.
+ */
+void ar1_rows(int64_t n_rows, int64_t n, double phi, double *data)
+{
+    if (n < 2)
+        return;
+    for (int64_t r = 0; r < n_rows; r++) {
+        double *row = data + r * n;
+        double z = phi * row[0];
+        for (int64_t t = 1; t < n; t++) {
+            double x = row[t];
+            double y = z + 1.0 * x;
+            z = x * 0.0 - y * (-phi);
+            row[t] = y;
+        }
+    }
 }

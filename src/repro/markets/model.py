@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._native import ar1_rows
 from repro.markets.calendar import HourlyCalendar
 from repro.markets.hubs import Hub
 from repro.markets.rto import RTO_INFO
@@ -255,20 +256,21 @@ def ar1_filter(innovations: np.ndarray, phi: float, sigma: float) -> np.ndarray:
     if sigma < 0.0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     innovation_scale = sigma * np.sqrt(1.0 - phi * phi)
-    out = np.empty_like(innovations, dtype=float)
+    # C-ordered whatever the input's layout, so each series is one
+    # contiguous row for the kernel.
+    out = np.empty(np.shape(innovations))
     if out.size == 0:
         return out
     out[..., 0] = innovations[..., 0] * sigma
     # The scaled shocks go straight into ``out``: one large temporary
     # fewer when many long series are filtered at once.
-    tail = out[..., 1:]
-    np.multiply(innovations[..., 1:], innovation_scale, out=tail)
-    # y[t] = phi*y[t-1] + e[t] as a linear recursive filter. The
-    # closed form (cumulative sum of e / phi^t) is numerically unstable
-    # for long series, so this uses scipy's compiled lfilter.
-    from scipy.signal import lfilter
-
-    tail[...] = lfilter([1.0], [1.0, -phi], tail, axis=-1, zi=phi * out[..., :1])[0]
+    np.multiply(innovations[..., 1:], innovation_scale, out=out[..., 1:])
+    # y[t] = phi*y[t-1] + e[t], recursively in C: the closed form (a
+    # cumulative sum of e / phi^t) is numerically unstable for long
+    # series. The kernel keeps scipy lfilter's operation order, so the
+    # committed goldens and trace digests hold bit for bit.
+    n = out.shape[-1]
+    ar1_rows(out.size // n, n, phi, out.ctypes.data)
     return out
 
 

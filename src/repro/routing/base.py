@@ -22,7 +22,7 @@ import numpy as np
 from repro.errors import ConfigurationError, InfeasibleAllocationError
 from repro.geo.distance import DistanceTable
 from repro.geo.states import all_states
-from repro.routing._native import (
+from repro._native import (
     WALK_BAD_INDEX,
     WALK_INFEASIBLE,
     WALK_NOMEM,
@@ -291,7 +291,7 @@ def greedy_fill_batch(
     """Vectorised-over-time :func:`greedy_fill` for a run of steps.
 
     The feasibility check is vectorised over the batch; the spill runs
-    in the C kernel (``greedy_walk.c``), one step after another, with
+    in the C kernel (``greedy_walk`` in ``repro/kernels.c``), one step after another, with
     the same ``min``/subtract sequence on the same operands in the same
     order as calling :func:`greedy_fill` once per step, so every step
     is bitwise equal to it.

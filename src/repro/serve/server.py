@@ -401,7 +401,7 @@ class RoutingServer:
         labels = self.session.cluster_labels
         response = {
             "step": step,
-            **({"shard": self.config.shard_index} if self.config.n_shards > 1 else {}),
+            "shard": self.config.shard_index,
             "clock": self.session.clock(step).isoformat(),
             "loads": {label: float(loads[i]) for i, label in enumerate(labels)},
             "prices": {

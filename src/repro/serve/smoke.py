@@ -133,10 +133,10 @@ def _check_replay(scenario, rows: np.ndarray, responses: list[dict]) -> list[int
     equal to an offline session fed exactly the rows that shard was
     sent, in step order.
     """
-    shards_hit = sorted({r.get("shard", 0) for r in responses})
+    shards_hit = sorted({r["shard"] for r in responses})
     for shard in shards_hit:
         member_rows = sorted(
-            (r["step"], i) for i, r in enumerate(responses) if r.get("shard", 0) == shard
+            (r["step"], i) for i, r in enumerate(responses) if r["shard"] == shard
         )
         steps = [step for step, _ in member_rows]
         if steps != list(range(len(steps))):

@@ -1,9 +1,11 @@
 """Packaging: declared dependencies, shipped data, and the C kernel build.
 
-Every third-party package the library imports is a declared dependency;
-the greedy-walk C source ships as package data and builds, on first
-import, from an empty cache directory; without a C compiler the import
-fails with an ImportError that says what to install.
+Every third-party package the library imports is a declared dependency,
+and numpy is the only one: no module imports scipy, and a fresh process
+that walks the cold-start path loads none. The C kernel source ships as
+package data and builds, on first import, from an empty cache
+directory; without a C compiler the import fails with an ImportError
+that says what to install.
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ import ast
 import ctypes
 import errno
 import fnmatch
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.routing import _native
+from repro import _native
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -56,7 +60,39 @@ def _declared_dependencies() -> set[str]:
 def test_scan_sees_the_core_imports():
     imports = _third_party_imports()
     assert "numpy" in imports
-    assert "scipy" in imports  # the AR(1) filter's lfilter, imported inside a function
+    assert "scipy" not in imports, imports.get("scipy")  # the AR(1) filter is in kernels.c
+
+
+def test_numpy_is_the_only_declared_dependency():
+    assert _declared_dependencies() == {"numpy"}
+
+
+COLD_START = """
+import sys
+from datetime import datetime
+
+import repro.cli
+from repro import scenarios
+from repro.markets import MarketConfig, generate_market
+from repro.traffic import make_turn_of_year_trace
+
+generate_market(MarketConfig(start=datetime(2008, 11, 1), months=1, seed=1))
+make_turn_of_year_trace()
+scenarios.open_rolling_session(scenarios.get("serve-smoke"), window_steps=288)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_the_cold_start_path_loads_no_scipy():
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_every_third_party_import_is_declared():
@@ -79,17 +115,18 @@ def test_kernel_source_ships_as_package_data():
 
 def test_kernel_builds_from_an_empty_cache_directory(tmp_path):
     cache = tmp_path / "cache"
-    walk = _native.load(cache)
+    library = _native.load(cache)
     built = sorted(path.name for path in cache.iterdir())
     assert built == [_native.library_name()]  # no temporary file left behind
-    assert callable(walk) and walk.restype is ctypes.c_int
+    assert callable(library.greedy_walk) and library.greedy_walk.restype is ctypes.c_int
+    assert callable(library.ar1_rows) and library.ar1_rows.restype is None
     assert _native.build(cache) == cache / built[0]  # a second build reuses it
 
 
 def test_a_fresh_build_prunes_stale_libraries(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
-    stale = cache / "greedy_walk-0000000000000000.so"
+    stale = cache / "kernels-0000000000000000.so"
     stale.write_bytes(b"built from an older source")
     unrelated = cache / "other.so"
     unrelated.write_bytes(b"")
@@ -125,7 +162,7 @@ def test_unwritable_package_cache_falls_back_to_the_home_cache(tmp_path, monkeyp
 
     monkeypatch.setattr(_native, "build", build)
     monkeypatch.setattr(Path, "home", lambda: tmp_path)
-    assert callable(_native.load())
+    assert callable(_native.load().ar1_rows)
     assert (tmp_path / ".cache" / "repro" / _native.library_name()).is_file()
 
 

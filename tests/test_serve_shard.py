@@ -131,6 +131,28 @@ def test_sharded_server_aggregates_stats_and_serves_rolling_windows():
     assert health["steps_remaining"] == 16 - len(by_shard[health["shard"]])
 
 
+@needs_reuse_port
+def test_a_one_worker_deployment_answers_with_shard_zero():
+    """Every /route answer names its shard, so clients read one key set
+    whatever the deployment's size."""
+    scenario = scenarios.get(SCENARIO)
+    rows = scenarios.trace(scenario.trace, scenario.market).demand[:2]
+
+    with ShardedServer(SCENARIO, workers=1, window_ms=1.0) as sharded:
+
+        async def drive():
+            client = HttpClient("127.0.0.1", sharded.port)
+            await client.connect()
+            try:
+                return [await client.route(row.tolist()) for row in rows]
+            finally:
+                await client.close()
+
+        bodies = asyncio.run(drive())
+
+    assert [(body["step"], body["shard"]) for body in bodies] == [(0, 0), (1, 0)]
+
+
 def test_sharded_server_rejects_bad_worker_counts():
     with pytest.raises(Exception, match="workers"):
         ShardedServer(SCENARIO, workers=0)
