@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import asyncio
 import statistics
+import sys
 import time
 import tracemalloc
 from datetime import datetime
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +32,11 @@ from repro.sim import SimulationOptions, simulate, simulate_per_step
 from repro.traffic.clusters import akamai_like_deployment
 from repro.traffic.synthetic import TraceConfig, make_trace
 from repro.traffic.trace import HourOfWeekWorkload
+
+# The per-step oracle routers: the scalar programs the routers' batch
+# forms replaced, kept with the tests as their reference.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from router_oracle import oracle  # noqa: E402
 
 SAMPLES = 10  # interleaved samples per ratio
 
@@ -75,7 +82,8 @@ def routers(problem: RoutingProblem) -> dict:
 
 
 def engine():
-    """``simulate_per_step`` over ``simulate`` for five router cases.
+    """``simulate_per_step`` on the oracle routers over ``simulate``,
+    for five router cases.
 
     Each floor, like the stacked section's, is at most 0.75x the median
     of 12 gate runs on a two-CPU box and below the lowest of them.
@@ -97,7 +105,7 @@ def engine():
     }
     for name, (router, options, floor) in cases.items():
         batched = partial(simulate, trace, dataset, problem, router, options)
-        per_step = partial(simulate_per_step, trace, dataset, problem, router, options)
+        per_step = partial(simulate_per_step, trace, dataset, problem, oracle(router), options)
         same(f"engine:{name}", np.array_equal(batched().loads, per_step().loads))
         yield f"engine:{name}", ratio(per_step, batched), ">=", floor
 
@@ -122,7 +130,8 @@ def provider():
 
 
 def router_cost():
-    """``batch_allocate`` of 8 spilling rows over 8 scalar ``allocate`` calls.
+    """``batch_allocate`` of 8 spilling rows over 8 scalar ``allocate``
+    calls of the oracle routers.
 
     Above 1, coalescing requests slows the server down. Demand is at 87%
     of uneven per-step limits, so every row spills into the greedy walk.
@@ -140,9 +149,9 @@ def router_cost():
         def batch(router=router):
             return [batch_allocate(router, demand, prices, limits) for _ in range(loops)]
 
-        def scalar(router=router):
+        def scalar(twin=oracle(router)):
             return [
-                np.stack([router.allocate(demand[t], prices[t], limits[t]) for t in range(rows)])
+                np.stack([twin.allocate(demand[t], prices[t], limits[t]) for t in range(rows)])
                 for _ in range(loops)
             ]
 

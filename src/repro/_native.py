@@ -11,9 +11,11 @@ library is never loaded. The build writes a temporary file and
 publishes it with ``os.replace``: processes that import at the same
 moment each build and the last rename wins, harmlessly, with no lock.
 A fresh build then deletes the directory's other ``kernels-*.so``
-files, built from an older source, flag set or platform, so the cache
-holds one library (a checkout shared by two machine types rebuilds
-when it switches); a process that still has one loaded keeps its mapping.
+files, built from an older source, flag set or platform, and any
+``greedy_walk-*.so`` left by the walk-only library this one replaced,
+so the cache holds one library (a checkout shared by two machine
+types rebuilds when it switches); a process that still has one loaded
+keeps its mapping.
 
 There is no pure-Python fallback: without a C compiler the import
 fails with an :class:`ImportError` that says what to install.
@@ -92,9 +94,11 @@ def build(directory: Path) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    for stale in directory.glob("kernels-*.so"):
-        if stale != target:
-            stale.unlink(missing_ok=True)
+    # greedy_walk-*.so: the walk-only library this one replaced.
+    for pattern in ("kernels-*.so", "greedy_walk-*.so"):
+        for stale in directory.glob(pattern):
+            if stale != target:
+                stale.unlink(missing_ok=True)
     return target
 
 

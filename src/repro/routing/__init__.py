@@ -6,7 +6,6 @@ from repro.routing.base import (
     RoutingProblem,
     batch_allocate,
     deployment_distance_table,
-    greedy_fill,
     greedy_fill_batch,
 )
 from repro.routing.joint import JointOptimizationRouter
@@ -23,7 +22,6 @@ __all__ = [
     "RoutingProblem",
     "batch_allocate",
     "deployment_distance_table",
-    "greedy_fill",
     "greedy_fill_batch",
     "JointOptimizationRouter",
     "DEFAULT_PRICE_THRESHOLD",

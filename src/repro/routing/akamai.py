@@ -25,12 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.routing.base import RoutingProblem, greedy_fill, greedy_fill_batch
+from repro.routing.base import Router, RoutingProblem, greedy_fill_batch
 
 __all__ = ["BaselineProximityRouter"]
 
 
-class BaselineProximityRouter:
+class BaselineProximityRouter(Router):
     """Locality-preferring, bandwidth-balancing baseline allocation.
 
     Each state prefers clusters nearest-first, but per-cluster loads
@@ -50,13 +50,6 @@ class BaselineProximityRouter:
         sit. 1.0 is perfect balancing (maximum bandwidth efficiency,
         zero locality); large values disable balancing entirely.
     """
-
-    #: ``allocate`` raises InfeasibleAllocationError exactly when a
-    #: step's total demand exceeds its summed finite limits (the
-    #: greedy_fill predicate; the balancing targets relax to the raw
-    #: limits whenever they would bind), so the engine may batch 95/5
-    #: burst steps.
-    strict_infeasibility = True
 
     def __init__(
         self,
@@ -86,37 +79,24 @@ class BaselineProximityRouter:
         """Per-cluster capacity fractions used as balancing targets."""
         return self._shares.copy()
 
-    def allocate(self, demand: np.ndarray, prices: np.ndarray, limits: np.ndarray) -> np.ndarray:
-        """Nearest-first allocation under balancing targets.
-
-        Prices are ignored — the baseline is price-blind by
-        construction.
-        """
-        del prices
-        total = float(demand.sum())
-        targets = np.maximum(self._shares * total * self.balance_slack, self._target_floor)
-        effective = np.minimum(limits, targets)
-        # Guarantee feasibility: slack >= 1 makes sum(targets) >= total,
-        # but the external limits may bite; fall back to them alone.
-        if float(np.minimum(effective, 1e18).sum()) < total:
-            effective = limits
-        return greedy_fill(demand, self._order_matrix, effective)
-
     def allocate_batch(
         self,
         demand: np.ndarray,
         prices: np.ndarray,
         limits: np.ndarray,
     ) -> np.ndarray:
-        """Whole-run form of :meth:`allocate` via the batched greedy fill.
+        """Nearest-first allocation under balancing targets.
 
-        Balancing targets depend only on each step's total demand, so
-        the per-step effective limits vectorise directly; the greedy
-        spill then runs once over the whole batch.
+        Prices are ignored — the baseline is price-blind by
+        construction. Balancing targets depend only on each step's
+        total demand, so the per-step effective limits vectorise
+        directly; where the external limits bite so hard that the
+        targets cannot hold a step's demand, that step falls back to
+        the limits alone (slack >= 1 makes the targets' sum cover the
+        demand otherwise). The greedy spill then runs once over the
+        whole batch.
         """
         del prices
-        demand = np.asarray(demand, dtype=float)
-        limits = np.asarray(limits, dtype=float)
         totals = demand.sum(axis=1)
         targets = np.maximum(
             self._shares[None, :] * totals[:, None] * self.balance_slack,

@@ -6,16 +6,17 @@ limits. Routers are deliberately stateless across steps except through
 the limits they are handed (the 95/5 tracker lives in the simulation
 engine), which keeps every scheme replayable and comparable.
 
-Routers may additionally implement ``allocate_batch``, the vectorised
-form over a whole run of steps; :func:`batch_allocate` dispatches to it
-when present and otherwise falls back to sequential per-step
-``allocate`` calls, so the simulation engine can always hand routers
-maximal runs of steps at once.
+Every router implements one allocation body, ``allocate_batch``, the
+vectorised form over a whole run of steps, and subclasses
+:class:`Router` for the shared single-step ``allocate``; the simulation
+engine hands routers maximal runs of steps at once through
+:func:`batch_allocate`. The per-step programs these bodies replaced
+live on as the test oracle (``tests/router_oracle.py``).
 """
 
 from __future__ import annotations
 
-from typing import Protocol
+from abc import ABC, abstractmethod
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "Router",
     "RoutingProblem",
     "batch_allocate",
-    "greedy_fill",
     "greedy_fill_batch",
     "deployment_distance_table",
 ]
@@ -81,54 +81,60 @@ class RoutingProblem:
         return self.deployment.n_clusters
 
 
-class Router(Protocol):
+class Router(ABC):
     """One allocation policy.
 
-    ``allocate`` returns a ``(n_states, n_clusters)`` matrix of hit
-    rates; row sums must equal the demand vector (all demand is always
-    served — §1's problem statement assumes full replication).
+    A router implements one method, :meth:`allocate_batch`, the
+    allocation of a whole run of ``T`` steps; the single-step
+    :meth:`allocate` is shared by every router and is that method on a
+    one-row batch. Every output row sums to its step's demand (all
+    demand is always served — §1's problem statement assumes full
+    replication), and step ``t`` of a batch depends on step ``t``'s
+    inputs alone, so how steps are grouped into calls never changes an
+    allocation: the engine fuses replicas and splits bursts freely.
 
-    Routers may *additionally* provide an ``allocate_batch(demand,
-    prices, limits)`` method — the vectorised form over ``T`` steps,
-    taking ``(T, n_states)`` demand, ``(T, n_clusters)`` prices, and
-    shared ``(n_clusters,)`` or per-step ``(T, n_clusters)`` limits,
-    and returning a ``(T, n_states, n_clusters)`` tensor whose step
-    ``t`` slice equals ``allocate(demand[t], prices[t], limits[t])``
-    exactly. It is deliberately not part of this protocol (scalar-only
-    routers remain conformant); :func:`batch_allocate` discovers it by
-    duck typing and supplies the sequential fallback otherwise.
-
-    Routers whose ``allocate`` raises
-    :class:`~repro.errors.InfeasibleAllocationError` *exactly* when a
-    step's total demand exceeds its summed finite limits (the
-    :func:`greedy_fill` predicate — true of every greedy-fill-backed
-    policy here) may advertise it with a class attribute
-    ``strict_infeasibility = True``; the engine then routes 95/5 burst
-    steps through one batched call against plain capacity instead of a
-    per-step try/except replay. Routers that ignore limits (the static
-    hub) or have bespoke infeasibility semantics must leave it unset.
+    The greedy routers raise
+    :class:`~repro.errors.InfeasibleAllocationError` exactly when a
+    step's total demand exceeds its summed finite limits (the greedy
+    walk's predicate, see :func:`greedy_fill_batch`). The engine leans
+    on it: a 95/5 burst step, whose demand exceeds the summed caps, is
+    routed against plain capacity in one batched call, and any other
+    raise (say, on one cluster's limit) is retried step by step, first
+    against the capped limits and then against capacity.
     """
 
-    def allocate(
+    @abstractmethod
+    def allocate_batch(
         self,
         demand: np.ndarray,
         prices: np.ndarray,
         limits: np.ndarray,
     ) -> np.ndarray:
-        """Map ``demand`` (hits/s per state) to clusters.
+        """Map ``T`` steps of demand to clusters.
 
         Parameters
         ----------
         demand:
-            Per-state request rates for this step.
+            ``(T, n_states)`` request rates, hits/s per state.
         prices:
-            The prices the router is allowed to see (already lagged by
-            the reaction delay), one per cluster, $/MWh.
+            ``(T, n_clusters)`` prices the router is allowed to see
+            (already lagged by the reaction delay), $/MWh.
         limits:
-            Effective per-cluster load ceilings for this step (capacity
-            and/or the 95/5 ceiling). ``inf`` means unconstrained.
+            ``(n_clusters,)`` shared or ``(T, n_clusters)`` per-step
+            load ceilings (capacity and/or the 95/5 ceiling). ``inf``
+            means unconstrained.
+
+        Returns the ``(T, n_states, n_clusters)`` allocation tensor.
+        Call it through :func:`batch_allocate`, which validates the
+        inputs and converts them to float arrays first.
         """
-        ...
+
+    def allocate(self, demand: np.ndarray, prices: np.ndarray, limits: np.ndarray) -> np.ndarray:
+        """One step: ``(n_states,)`` demand, ``(n_clusters,)`` prices and
+        limits to an ``(n_states, n_clusters)`` allocation, through
+        :func:`batch_allocate` on one row."""
+        demand, prices = np.expand_dims(demand, 0), np.expand_dims(prices, 0)
+        return batch_allocate(self, demand, prices, limits)[0]
 
 
 def batch_allocate(
@@ -137,25 +143,14 @@ def batch_allocate(
     prices: np.ndarray,
     limits: np.ndarray,
 ) -> np.ndarray:
-    """Allocate a whole run of steps, vectorised when the router can.
+    """Validate a run of steps and hand it to ``router.allocate_batch``.
 
-    Dispatches to ``router.allocate_batch`` when the router defines it;
-    otherwise runs the generic shim — sequential ``allocate`` calls in
-    step order (preserving per-step semantics for any router that only
-    implements the scalar protocol).
-
-    A single step also takes the shim: the batched-router contract
-    makes the scalar ``allocate`` bitwise equal to the batch form, and
-    it skips the batch form's fixed per-call cost — the common case of
-    a ``/route`` request fed alone.
-
-    Inputs are validated once, before either path runs: ``demand``
-    ``(T, n_states)``, ``prices`` ``(T, n_clusters)`` and ``limits``
-    ``(n_clusters,)`` or ``(T, n_clusters)``, with one cluster count
-    between prices and limits, and no NaN in ``demand``, ``prices`` or
-    ``limits``. A NaN price makes no cluster cheapest, so a router
-    would place states outside their candidate sets; ``inf`` prices
-    are legal.
+    The inputs are ``demand`` ``(T, n_states)``, ``prices``
+    ``(T, n_clusters)`` and ``limits`` ``(n_clusters,)`` or
+    ``(T, n_clusters)``, with one cluster count between prices and
+    limits, and no NaN in ``demand``, ``prices`` or ``limits``. A NaN
+    price makes no cluster cheapest, so a router would place states
+    outside their candidate sets; ``inf`` prices are legal.
 
     Raises
     ------
@@ -187,95 +182,7 @@ def batch_allocate(
         raise ConfigurationError("batch demand and limits must not contain NaN")
     if np.isnan(prices).any():
         raise ConfigurationError("batch prices must not contain NaN")
-    batch = getattr(router, "allocate_batch", None)
-    if batch is not None and n_steps != 1:
-        return batch(demand, prices, limits)
-    n_clusters = limits.shape[-1]
-    # Shared limits are handed to every step as the same preallocated
-    # row — no (T, C) broadcast materialisation, and the shape checks
-    # above run before the output tensor is allocated.
-    shared_row = limits if limits.ndim == 1 else None
-    allocations = np.empty((n_steps, demand.shape[1], n_clusters))
-    for t in range(n_steps):
-        row = shared_row if shared_row is not None else limits[t]
-        allocations[t] = router.allocate(demand[t], prices[t], row)
-    return allocations
-
-
-def greedy_fill(
-    demand: np.ndarray,
-    preference_orders: np.ndarray | list,
-    limits: np.ndarray,
-    state_order: np.ndarray | None = None,
-) -> np.ndarray:
-    """Allocate each state's demand along its cluster preference order.
-
-    The workhorse shared by the baseline and price-conscious routers:
-    walk states (largest demand first by default), pour each state's
-    demand into its most-preferred cluster with remaining headroom, and
-    spill the remainder down the preference list — the paper's
-    "iteratively finds another good cluster" behaviour. One step of
-    :func:`greedy_fill_batch`'s walk.
-
-    Parameters
-    ----------
-    demand:
-        ``(n_states,)`` hit rates.
-    preference_orders:
-        Per state, cluster indices from most to least preferred: a
-        rectangular ``(n_states, k)`` integer array (what the routers
-        pass; ``-1`` entries are padding), or one sequence per state,
-        padded here. Orders may omit clusters; a final pass
-        over the unlisted clusters (by descending remaining headroom,
-        ties toward the lower index) guarantees feasibility.
-    limits:
-        ``(n_clusters,)`` ceilings for this step.
-    state_order:
-        Optional processing order (defaults to descending demand, so
-        big states claim their preferred clusters first and fragmented
-        spill is minimised).
-
-    Raises
-    ------
-    InfeasibleAllocationError
-        If total demand exceeds the summed limits.
-    """
-    total_demand = float(demand.sum())
-    total_limit = float(limits[np.isfinite(limits)].sum()) + (
-        np.inf if np.isinf(limits).any() else 0.0
-    )
-    if total_demand > total_limit + 1e-6:
-        raise InfeasibleAllocationError(
-            f"demand {total_demand:.0f} hits/s exceeds total limit {total_limit:.0f}"
-        )
-
-    demand = np.asarray(demand)
-    order = state_order if state_order is not None else np.argsort(-demand)
-    allocation = np.zeros((1, demand.shape[0], limits.shape[0]))
-    _walk(
-        demand[None],
-        _preference_matrix(preference_orders),
-        np.array(limits, dtype=float)[None],
-        np.asarray(order)[None],
-        allocation,
-        None,
-        where="",
-    )
-    return allocation[0]
-
-
-def _preference_matrix(preference_orders: np.ndarray | list) -> np.ndarray:
-    """Per-state preference sequences as one rectangular index matrix.
-
-    Short rows are padded with ``-1``, which the walk skips.
-    """
-    if isinstance(preference_orders, np.ndarray) and preference_orders.ndim == 2:
-        return preference_orders
-    rows = [np.asarray(prefs, dtype=np.int64).ravel() for prefs in preference_orders]
-    matrix = np.full((len(rows), max((len(r) for r in rows), default=0)), -1, dtype=np.int64)
-    for s, prefs in enumerate(rows):
-        matrix[s, : len(prefs)] = prefs
-    return matrix
+    return router.allocate_batch(demand, prices, limits)
 
 
 def greedy_fill_batch(
@@ -288,13 +195,19 @@ def greedy_fill_batch(
     out: np.ndarray | None = None,
     out_rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorised-over-time :func:`greedy_fill` for a run of steps.
+    """Allocate each state's demand along its cluster preference order.
+
+    The workhorse shared by the greedy routers, over a run of steps:
+    per step, walk states (largest demand first by default), pour each
+    state's demand into its most-preferred cluster with remaining
+    headroom, and spill the remainder down the preference list — the
+    paper's "iteratively finds another good cluster" behaviour. A final
+    pass over the unlisted clusters (by descending remaining headroom,
+    ties toward the lower index) guarantees feasibility.
 
     The feasibility check is vectorised over the batch; the spill runs
-    in the C kernel (``greedy_walk`` in ``repro/kernels.c``), one step after another, with
-    the same ``min``/subtract sequence on the same operands in the same
-    order as calling :func:`greedy_fill` once per step, so every step
-    is bitwise equal to it.
+    in the C kernel (``greedy_walk`` in ``repro/kernels.c``), one step
+    after another, so every step is bitwise equal to walking it alone.
 
     Parameters
     ----------
@@ -314,7 +227,8 @@ def greedy_fill_batch(
         ceilings.
     state_order:
         ``(T, n_states)`` processing order per step; defaults to
-        descending demand per step, matching :func:`greedy_fill`.
+        descending demand per step, so big states claim their
+        preferred clusters first and fragmented spill is minimised.
     out / out_rows:
         Optional destination: write step ``i``'s allocation into
         ``out[out_rows[i]]`` instead of materialising a fresh tensor.
@@ -335,7 +249,7 @@ def greedy_fill_batch(
     headroom[...] = limits
 
     # A row holding inf, -inf or NaN counts as unbounded; elsewhere the
-    # plain row sum is the finite sum greedy_fill compares against.
+    # plain row sum is the summed finite limits.
     totals = demand.sum(axis=1)
     total_limits = headroom.sum(axis=1)
     infeasible = totals > total_limits + 1e-6

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.routing.base import RoutingProblem, greedy_fill, greedy_fill_batch
+from repro.routing.base import Router, RoutingProblem, greedy_fill_batch
 
 __all__ = ["JointOptimizationRouter"]
 
@@ -32,7 +32,7 @@ __all__ = ["JointOptimizationRouter"]
 _MAX_SCORE = np.finfo(np.float64).max
 
 
-class JointOptimizationRouter:
+class JointOptimizationRouter(Router):
     """Soft-objective router over price, distance, and congestion.
 
     Parameters
@@ -50,11 +50,6 @@ class JointOptimizationRouter:
         Optional hard performance constraint on top of the soft
         objective (None = unconstrained).
     """
-
-    #: ``allocate`` raises InfeasibleAllocationError exactly when a
-    #: step's total demand exceeds its summed finite limits (the
-    #: greedy_fill predicate), so the engine may batch 95/5 burst steps.
-    strict_infeasibility = True
 
     def __init__(
         self,
@@ -82,15 +77,6 @@ class JointOptimizationRouter:
             self._forbidden = np.zeros_like(distances, dtype=bool)
         self._has_forbidden = bool(self._forbidden.any())
 
-    def _scores(self, prices: np.ndarray, projected_utilization: np.ndarray) -> np.ndarray:
-        # The quadratic ramp is deliberately unbounded: a cluster
-        # projected at 300% must score strictly worse than one at 200%,
-        # or heavily-overloaded clusters become indistinguishable and
-        # the re-score pass cannot spread a demand surge.
-        congestion = self.congestion_penalty * np.square(projected_utilization)
-        scores = prices[None, :] + self._distance_cost + congestion[None, :]
-        return self._mask_forbidden(scores) if self._has_forbidden else scores
-
     def _mask_forbidden(self, scores: np.ndarray) -> np.ndarray:
         """``scores`` (``(..., n_states, n_clusters)``) with every
         forbidden cluster at ``inf``.
@@ -102,55 +88,28 @@ class JointOptimizationRouter:
         """
         return np.where(self._forbidden, np.inf, np.minimum(scores, _MAX_SCORE))
 
-    def allocate(self, demand: np.ndarray, prices: np.ndarray, limits: np.ndarray) -> np.ndarray:
-        """Two-pass allocation: score, place, re-score, repair.
-
-        The first pass scores clusters assuming the previous step's
-        shape (empty system) and places each state at its argmin; the
-        congestion term is then refreshed with the realised loads and
-        states are re-placed once. Limits are enforced exactly by the
-        greedy filler using the final score ordering.
-        """
-        capacities = self._problem.deployment.capacities
-        utilization = np.zeros(self._problem.n_clusters)
-        for _ in range(2):
-            scores = self._scores(prices, utilization)
-            preferred = np.argmin(scores, axis=1)
-            loads = np.bincount(preferred, weights=demand, minlength=self._problem.n_clusters)
-            utilization = loads / capacities
-
-        if (loads <= limits + 1e-9).all():
-            allocation = np.zeros((self._problem.n_states, self._problem.n_clusters))
-            allocation[np.arange(self._problem.n_states), preferred] = demand
-            return allocation
-        scores = self._scores(prices, utilization)
-        return greedy_fill(demand, np.argsort(scores, axis=1), limits)
-
     def allocate_batch(
         self,
         demand: np.ndarray,
         prices: np.ndarray,
         limits: np.ndarray,
     ) -> np.ndarray:
-        """Whole-run form of :meth:`allocate`, bit-identical per step.
+        """Two-pass allocation: score, place, re-score, repair.
 
-        The two-pass score/place/re-score loop runs over all ``T``
-        steps at once on a ``(T, n_states, n_clusters)`` score tensor.
-        The load projection is one flat ``bincount`` over combined
-        ``(step, cluster)`` keys in place of ``T`` per-step calls —
-        bincount accumulates weights in traversal order, so each
-        step's partial sums are added in the same (ascending-state)
-        order as the scalar projection and the projected loads are
-        bitwise equal. Steps whose preferred placement violates a
-        limit re-score with the realised utilization and repair
-        through :func:`greedy_fill_batch` on ``argsort(axis=-1)``
-        orders, which replays the scalar greedy spill take for take.
+        The first pass scores clusters for an empty system and places
+        each state at its argmin; the congestion term is then refreshed
+        with the realised loads and states are re-placed once. Steps
+        whose placement violates a limit re-score with the realised
+        utilization and repair through :func:`greedy_fill_batch` on
+        ``argsort(axis=-1)`` orders, so limits are enforced exactly.
 
-        The passes score ``(price + distance) + congestion`` per
-        element in the same order as :meth:`_scores`, so every score
-        (and every argmin/argsort derived from it) is bitwise equal to
-        the per-step one. Three facts let them shed most of their work
-        without moving a bit:
+        Both passes run over all ``T`` steps at once on a ``(T,
+        n_states, n_clusters)`` score tensor, scoring ``(price +
+        distance) + congestion`` per element. The load projection is
+        one flat ``bincount`` over combined ``(step, cluster)`` keys,
+        which accumulates each step's weights in ascending-state order,
+        so a step's loads do not depend on the steps batched with it.
+        Three facts let the passes shed most of their work:
 
         - the ``price + distance`` term is congestion-independent, so
           one ``base`` tensor serves every pass;
@@ -158,19 +117,16 @@ class JointOptimizationRouter:
           zero can only flip ``-0.0`` signs — invisible to the argmin
           that is the term's sole consumer — so the add is skipped;
         - :meth:`_mask_forbidden` runs only when a distance threshold
-          actually forbids something, as in :meth:`_scores`, so it never
-          moves a bit of an unconstrained router.
+          actually forbids something, so it never moves a bit of an
+          unconstrained router.
 
         The greedy repair then writes straight into the allocation
         tensor (``out=``/``out_rows``) instead of materialising a
         spill-sized tensor and copying it in.
         """
-        demand = np.asarray(demand, dtype=float)
-        prices = np.asarray(prices, dtype=float)
         n_steps = demand.shape[0]
         n_states = self._problem.n_states
         n_clusters = self._problem.n_clusters
-        limits = np.asarray(limits, dtype=float)
 
         capacities = self._problem.deployment.capacities
         rows = np.arange(n_steps)
@@ -191,7 +147,11 @@ class JointOptimizationRouter:
         utilization = loads / capacities[None, :]
 
         # Pass 2: congestion refreshed with the realised loads. The
-        # spill re-score below reuses this tensor as scratch.
+        # spill re-score below reuses this tensor as scratch. The
+        # quadratic ramp is deliberately unbounded: a cluster projected
+        # at 300% must score strictly worse than one at 200%, or
+        # heavily-overloaded clusters become indistinguishable and the
+        # re-score pass cannot spread a demand surge.
         congestion = self.congestion_penalty * np.square(utilization)
         scratch = base + congestion[:, None, :]
         if self._has_forbidden:

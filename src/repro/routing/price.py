@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.routing.base import RoutingProblem, greedy_fill, greedy_fill_batch
+from repro.routing.base import Router, RoutingProblem, greedy_fill_batch
 
 __all__ = ["PriceConsciousRouter", "DEFAULT_PRICE_THRESHOLD", "METRO_RADIUS_KM"]
 
@@ -38,13 +38,8 @@ DEFAULT_PRICE_THRESHOLD = 5.0
 METRO_RADIUS_KM = 50.0
 
 
-class PriceConsciousRouter:
+class PriceConsciousRouter(Router):
     """Cheapest-electricity routing under distance/price thresholds."""
-
-    #: ``allocate`` raises InfeasibleAllocationError exactly when a
-    #: step's total demand exceeds its summed finite limits (the
-    #: greedy_fill predicate), so the engine may batch 95/5 burst steps.
-    strict_infeasibility = True
 
     def __init__(
         self,
@@ -88,44 +83,20 @@ class PriceConsciousRouter:
         """Per-state candidate cluster indices (copies)."""
         return [c.copy() for c in self._candidates]
 
-    def allocate(self, demand: np.ndarray, prices: np.ndarray, limits: np.ndarray) -> np.ndarray:
-        """Allocate one step's demand by price within distance limits.
-
-        Fast path: when every state's single best candidate has room,
-        the allocation is one cluster per state and is computed with
-        pure array operations. Otherwise the greedy spill logic runs.
-        """
-        n_states, n_clusters = self._mask.shape
-        masked_prices = np.where(self._mask, prices[None, :], np.inf)
-        cutoff = masked_prices.min(axis=1) + self.price_threshold
-        cheap = masked_prices <= cutoff[:, None]
-        # Within the cheap bucket, the geographically closest wins.
-        choice_key = np.where(cheap, self._masked_distance, np.inf)
-        preferred = np.argmin(choice_key, axis=1)
-
-        loads = np.bincount(preferred, weights=demand, minlength=n_clusters)
-        if (loads <= limits + 1e-9).all():
-            allocation = np.zeros((n_states, n_clusters))
-            allocation[np.arange(n_states), preferred] = demand
-            return allocation
-
-        ranked = self._preference_orders(masked_prices, cutoff)
-        return greedy_fill(demand, np.where(self._padding, -1, ranked), limits)
-
     def allocate_batch(
         self,
         demand: np.ndarray,
         prices: np.ndarray,
         limits: np.ndarray,
     ) -> np.ndarray:
-        """Whole-run form of :meth:`allocate`.
+        """Allocate each step's demand by price within distance limits.
 
-        The fast path generalises directly: the cheap-bucket /
-        closest-within-bucket choice is computed for every step at once
-        and the per-step loads via one flat bincount over time. Steps
-        whose single-best choice would overflow a limit drop back to
-        the scalar greedy spill, so each step's slice equals
-        ``allocate`` on that step.
+        Fast path: the cheap-bucket / closest-within-bucket choice is
+        computed for every step at once and the per-step loads via one
+        flat bincount over time; where every state's single best
+        candidate has room, the step's allocation is one cluster per
+        state. Steps whose single-best choice would overflow a limit
+        take the greedy spill along their preference orders instead.
 
         The choice and the spill preference orders depend on a step's
         price row alone, and hourly prices repeat over the steps of an
@@ -135,21 +106,18 @@ class PriceConsciousRouter:
         == 0.0`` included); a row holding NaN equals no row and stays
         a run of its own.
         """
-        demand = np.asarray(demand, dtype=float)
-        prices = np.asarray(prices, dtype=float)
         n_steps = demand.shape[0]
         n_states, n_clusters = self._mask.shape
-        limits = np.asarray(limits, dtype=float)
 
         starts = np.empty(n_steps, dtype=bool)
         starts[:1] = True
         (prices[1:] != prices[:-1]).any(axis=1, out=starts[1:])
-        run_of = starts.cumsum() - 1
+        run_of = starts.cumsum(dtype=np.intp) - 1
         masked_prices = np.where(self._mask[None, :, :], prices[starts][:, None, :], np.inf)
         cutoff = masked_prices.min(axis=2) + self.price_threshold
         cheap = masked_prices <= cutoff[:, :, None]
         choice_key = np.where(cheap, self._masked_distance[None, :, :], np.inf)
-        preferred = np.argmin(choice_key, axis=2)[run_of]
+        preferred = choice_key.argmin(axis=2)[run_of]
 
         flat = (np.arange(n_steps)[:, None] * n_clusters + preferred).ravel()
         loads = np.bincount(
@@ -165,9 +133,9 @@ class PriceConsciousRouter:
             allocation[fast[:, None], np.arange(n_states)[None, :], preferred[fast]] = demand[fast]
         spill = (~fits).nonzero()[0]
         if spill.size:
-            # Orders are built, and padded as in the scalar path, for
-            # the runs holding a spilling step only; each spilling step
-            # walks its run's block.
+            # Orders are built, and padded, for the runs holding a
+            # spilling step only; each spilling step walks its run's
+            # block.
             spill_run = run_of[spill]
             ranked_runs = np.zeros(len(masked_prices), dtype=bool)
             ranked_runs[spill_run] = True
@@ -197,7 +165,5 @@ class PriceConsciousRouter:
         """
         bucket = np.where(self._mask, (masked_prices > cutoff[..., None]).astype(np.int8), 2)
         within_bucket_price = np.where(bucket == 0, 0.0, masked_prices)
-        distance_key = self._distances
-        if masked_prices.ndim == 3:
-            distance_key = np.broadcast_to(distance_key, masked_prices.shape)
+        distance_key = np.broadcast_to(self._distances, masked_prices.shape)
         return np.lexsort((distance_key, within_bucket_price, bucket), axis=-1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.routing.base import RoutingProblem
+from repro.routing.base import Router, RoutingProblem
 
 __all__ = ["StaticSingleHubRouter", "cheapest_cluster_index"]
 
@@ -31,7 +31,7 @@ def cheapest_cluster_index(problem: RoutingProblem, mean_prices: np.ndarray) -> 
     return int(np.argmin(mean_prices))
 
 
-class StaticSingleHubRouter:
+class StaticSingleHubRouter(Router):
     """Route every request to one fixed cluster.
 
     Models the consolidated deployment: all the system's servers are
@@ -48,22 +48,14 @@ class StaticSingleHubRouter:
         self._problem = problem
         self.cluster_index = cluster_index
 
-    def allocate(self, demand: np.ndarray, prices: np.ndarray, limits: np.ndarray) -> np.ndarray:
-        """All demand to the fixed cluster, regardless of price or limits."""
-        del prices, limits
-        allocation = np.zeros((self._problem.n_states, self._problem.n_clusters))
-        allocation[:, self.cluster_index] = demand
-        return allocation
-
     def allocate_batch(
         self,
         demand: np.ndarray,
         prices: np.ndarray,
         limits: np.ndarray,
     ) -> np.ndarray:
-        """Whole-run form: every step's demand lands on the fixed cluster."""
+        """All demand to the fixed cluster, regardless of price or limits."""
         del prices, limits
-        demand = np.asarray(demand, dtype=float)
         n_steps, n_states = demand.shape
         allocation = np.zeros((n_steps, n_states, self._problem.n_clusters))
         allocation[:, :, self.cluster_index] = demand

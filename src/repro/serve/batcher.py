@@ -7,7 +7,7 @@ requests enqueue their demand rows, a single collector task drains the
 queue in arrival order, coalesces up to ``max_batch`` rows arriving
 within a bounded ``window_ms`` wait, and feeds them to the session as
 one :meth:`~repro.sim.session.RoutingSession.feed` call — one
-vectorised ``allocate_batch`` pass instead of N scalar calls.
+vectorised ``allocate_batch`` pass instead of N one-row passes.
 
 Because feeding ``[a, b]`` in one call is bit-identical to feeding
 ``a`` then ``b`` (the session contract), the batch window is purely a

@@ -22,14 +22,13 @@ private parts:
 
 1. *Horizon* (:class:`_Horizon`) — the seen/paid price tensors for
    every step of a ``(start, step_seconds, n_steps)`` grid, the
-   effective limits, the 95/5 burst threshold and the strict-burst
-   flag, all derived up front with array ops.
+   effective limits and the 95/5 burst threshold, all derived up
+   front with array ops.
 2. *Route* (:func:`_route`) — rows of demand are handed to the
    router's vectorised ``allocate_batch`` through
-   :func:`repro.routing.base.batch_allocate` (which falls back to
-   sequential per-step calls for routers without a batch form), with
-   per-step work reserved for the steps that must burst above the
-   95/5 ceilings.
+   :func:`repro.routing.base.batch_allocate`, with the steps that
+   must burst above the 95/5 ceilings routed in their own batched
+   call against plain capacity.
 3. *Ledger* (:class:`_Ledger`) — per-step loads, the 95/5 burst
    accounting, and the distance histogram are accumulated with array
    reductions at fixed chunk boundaries, however the stream was split
@@ -45,8 +44,8 @@ order of the distance histogram is part of the contract.
 :func:`simulate_many` stacks R replica traces that share one market
 data set into a single batched pass: one horizon serves every replica,
 routing calls fuse steps from every replica (the router contract —
-slice ``t`` equals the scalar ``allocate`` on step ``t`` — makes fused
-calls bit-identical to per-replica ones), and each replica's
+step ``t`` of a batch depends on step ``t``'s inputs alone — makes
+fused calls bit-identical to per-replica ones), and each replica's
 allocations fold through its own ledger at the *same* chunk boundaries
 :func:`simulate` would use, so every returned result is bit for bit
 the one a standalone :func:`simulate` call produces.
@@ -289,18 +288,11 @@ class _Horizon:
             # limits instead (these are exactly the intervals where the
             # baseline itself exceeded its 95th percentile, so they
             # fall in the billing-free 5% — the tracker verifies). The
-            # predicate mirrors greedy_fill's infeasibility test.
+            # predicate mirrors the greedy walk's infeasibility test.
             finite = np.isfinite(limits)
             total_limit = float(np.sum(limits[finite])) + (np.inf if np.any(~finite) else 0.0)
             self.burst_threshold = total_limit + 1e-6
 
-        # Burst steps may be batched against plain capacity instead of
-        # replayed only under the router's ``strict_infeasibility``
-        # promise: the burst predicate is then float-identical to the
-        # router's own infeasibility test.
-        self.strict_burst = self.caps is not None and bool(
-            getattr(router, "strict_infeasibility", False)
-        )
         self.limits, self.capacity_limits = limits, capacity_limits
         self.bin_index, self.n_bins = _distance_bins(problem)
         self.chunk_steps = batch_chunk_steps(problem.n_states, problem.n_clusters)
@@ -340,12 +332,13 @@ def _route(horizon: _Horizon, demand: np.ndarray, steps: slice | np.ndarray) -> 
     The one routing function every entry point shares. Each row is
     routed under :func:`simulate_per_step`'s semantics: non-burst rows
     in one batched call against the effective limits, and 95/5 burst
-    rows (total demand above the capped limits) either in one batched
-    call against plain capacity (strict routers) or replayed per step
-    under the original try/except contract, which any router semantics
-    (raising, clipping, ignoring limits) reproduce exactly. The
-    batched-router contract — slice ``t`` of a batch equals the scalar
-    call on step ``t`` — makes the result independent of how rows are
+    rows (total demand above the capped limits) in one batched call
+    against plain capacity. The burst predicate is the greedy routers'
+    own infeasibility test, so the per-step try/except would raise on
+    the capped limits and retry against capacity at exactly these
+    rows; a router that ignores limits (the static hub) gives the same
+    allocation either way. Step ``t`` of a batch depends on step
+    ``t``'s inputs alone, so the result is independent of how rows are
     grouped into calls.
     """
     prices = horizon.prices[steps]
@@ -358,15 +351,9 @@ def _route(horizon: _Horizon, demand: np.ndarray, steps: slice | np.ndarray) -> 
     fast = ~burst
     if fast.any():
         out[fast] = _route_capped(horizon, demand[fast], prices[fast])
-    if horizon.strict_burst:
-        # Raising on the capped limits is *guaranteed* (the burst
-        # predicate is the router's own infeasibility test), so the
-        # try/except replay collapses to one call against capacity.
-        out[burst] = batch_allocate(
-            horizon.router, demand[burst], prices[burst], horizon.capacity_limits
-        )
-    else:
-        out[burst] = _replay_with_retry(horizon, demand[burst], prices[burst])
+    out[burst] = batch_allocate(
+        horizon.router, demand[burst], prices[burst], horizon.capacity_limits
+    )
     return out
 
 
@@ -538,8 +525,8 @@ def simulate(
     The batched pipeline: limits are constant over the whole run (the
     95/5 caps never move once derived), so after precomputing the
     price tensors the engine hands the router maximal runs of steps at
-    once — chunked to bound memory — and reserves per-step work for
-    the burst steps where demand exceeds the capped limits. Results
+    once — chunked to bound memory — and routes the burst steps, where
+    demand exceeds the capped limits, in their own call. Results
     are identical, step for step, to :func:`simulate_per_step`, to the
     stacked multi-replica pass (:func:`simulate_many`), and to an
     incremental :class:`~repro.sim.session.RoutingSession` fed the
@@ -591,7 +578,11 @@ def simulate_per_step(
     This is the original §6.1 loop the batched pipeline replaces. It
     is kept as the ground truth for equivalence tests and as the
     denominator of the ``engine`` section of ``benchmarks/gate.py``;
-    the two must agree on loads, costs, and distance histograms.
+    the two must agree on loads, costs, and distance histograms. Both
+    hand it the per-step oracle routers of ``tests/router_oracle.py``,
+    whose ``allocate`` is the scalar program each router's
+    ``allocate_batch`` replaced, so it runs the original program end
+    to end.
     """
     if trace.state_codes != problem.state_codes:
         raise ConfigurationError("trace state order does not match routing problem")
@@ -667,8 +658,8 @@ def simulate_many(
       same chunk boundaries :func:`simulate` uses.
 
     Because a conformant ``allocate_batch`` computes each step
-    independently (slice ``t`` equals the scalar ``allocate`` on step
-    ``t`` — the contract the differential suites pin), fusing steps
+    independently (step ``t`` depends on step ``t``'s inputs alone —
+    the contract the differential suites pin), fusing steps
     from different replicas into one call cannot change any step's
     allocation, and every returned result is bit-identical to a
     standalone ``simulate(trace_r, ...)`` call.

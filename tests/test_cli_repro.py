@@ -321,22 +321,3 @@ class TestOrchestrator:
         artifacts.configure(None)
         (result,) = run_figures(["fig01"], seed=2009)
         assert result.figure_id == "fig01"
-
-
-class TestLegacyShim:
-    """python -m repro.experiments keeps its original contract."""
-
-    def test_list(self, capsys):
-        from repro.experiments.__main__ import main as legacy_main
-
-        assert legacy_main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig01" in out and "fig20" in out
-
-    def test_run_writes_no_files(self, tmp_path, monkeypatch, capsys):
-        from repro.experiments.__main__ import main as legacy_main
-
-        monkeypatch.chdir(tmp_path)
-        assert legacy_main(["fig01"]) == 0
-        assert "Google" in capsys.readouterr().out
-        assert list(tmp_path.iterdir()) == []

@@ -1,8 +1,9 @@
 """Randomized differential test: ``simulate`` vs ``simulate_per_step``.
 
 The batched pipeline's contract is *bit-identical* agreement with the
-original one-``allocate``-per-step reference loop, for every router
-kind, trace kind, and option combination. This test generates ~50
+original one-``allocate``-per-step reference loop driving the per-step
+oracle routers (``router_oracle.py``, the scalar programs the routers'
+batch forms replaced), for every router kind, trace kind, and option combination. This test generates ~50
 scenarios from one master seed — sweeping router kinds (baseline,
 price, static, joint, and the signal-override path that carbon/weather
 routing executes through), five-minute and hourly traces at random
@@ -26,6 +27,8 @@ from repro.routing.static import StaticSingleHubRouter
 from repro.sim.engine import SimulationOptions, simulate, simulate_per_step
 from repro.traffic.percentile import percentile_95
 from repro.traffic.synthetic import TraceConfig, make_trace
+
+from router_oracle import oracle
 
 N_SCENARIOS = 50
 
@@ -129,7 +132,7 @@ def test_batched_engine_is_bit_identical_to_reference(index, small_dataset, prob
 
     kwargs = dict(options=options, server_counts=server_counts, router_prices=router_prices)
     batched = simulate(trace, small_dataset, problem, router, **kwargs)
-    reference = simulate_per_step(trace, small_dataset, problem, router, **kwargs)
+    reference = simulate_per_step(trace, small_dataset, problem, oracle(router), **kwargs)
     _assert_identical(batched, reference)
 
 

@@ -17,6 +17,8 @@ from repro.sim import profiling
 from repro.sim.engine import SimulationOptions, simulate, simulate_many, simulate_per_step
 from repro.sim.session import RoutingSession
 
+from router_oracle import oracle
+
 # ---------------------------------------------------------------------------
 # Bitwise identity across chunk boundaries
 
@@ -75,7 +77,7 @@ def test_multi_chunk_entry_points_bitwise_identical(
     router = _build_router(kind, problem)
     options = SimulationOptions(bandwidth_caps=references[kind]["caps"]) if mode else None
     batched = simulate(short_trace, small_dataset, problem, router, options)
-    per_step = simulate_per_step(short_trace, small_dataset, problem, router, options)
+    per_step = simulate_per_step(short_trace, small_dataset, problem, oracle(router), options)
     stacked = simulate_many([short_trace] * 2, small_dataset, problem, router, options)
     session = RoutingSession(
         small_dataset,

@@ -126,12 +126,14 @@ def test_kernel_builds_from_an_empty_cache_directory(tmp_path):
 def test_a_fresh_build_prunes_stale_libraries(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
-    stale = cache / "kernels-0000000000000000.so"
-    stale.write_bytes(b"built from an older source")
+    # An older source's library, and the walk-only library this one replaced.
+    stale = [cache / "kernels-0000000000000000.so", cache / "greedy_walk-0000000000000000.so"]
+    for path in stale:
+        path.write_bytes(b"built from an older source")
     unrelated = cache / "other.so"
     unrelated.write_bytes(b"")
     current = _native.build(cache)
-    assert not stale.exists()
+    assert not any(path.exists() for path in stale)
     assert current == cache / _native.library_name() and current.is_file()
     assert unrelated.exists()
 

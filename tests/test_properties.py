@@ -14,10 +14,12 @@ from hypothesis.extra.numpy import arrays
 
 from repro.energy.model import ClusterPowerModel, EnergyModelParams
 from repro.markets.series import PriceSeries
-from repro.routing.base import RoutingProblem, greedy_fill
+from repro.routing.base import RoutingProblem
 from repro.routing.price import PriceConsciousRouter
 from repro.traffic.clusters import akamai_like_deployment
 from repro.traffic.percentile import billing_percentile
+
+from router_oracle import greedy_fill
 
 PROBLEM = RoutingProblem(akamai_like_deployment())
 

@@ -11,7 +11,8 @@ price tensors:
   and ignores per-site limits by contract).
 * **Determinism** — identical inputs produce bit-identical allocations
   across repeated calls *and* across freshly constructed routers, and
-  the vectorised batch path reproduces the scalar path exactly. Every
+  the vectorised batch path reproduces the per-step oracle (the
+  scalar program it replaced) exactly. Every
   simulation cache, artifact hash, and replica ensemble rests on this.
 * **Candidate sets** — with unlimited capacity, a state is only ever
   placed inside its candidate set (the price router's distance-limited
@@ -34,6 +35,8 @@ from repro.routing.joint import JointOptimizationRouter
 from repro.routing.price import PriceConsciousRouter
 from repro.routing.static import StaticSingleHubRouter
 from repro.traffic.clusters import ClusterDeployment, akamai_like_deployment
+
+from router_oracle import oracle
 
 _FULL = akamai_like_deployment()
 
@@ -158,8 +161,9 @@ class TestDeterminism:
         limits = feasible_limits(prob, batch_demand[0])
         for router in make_routers(prob, variant):
             batched = batch_allocate(router, batch_demand, batch_prices, limits)
+            twin = oracle(router)
             for t in range(batch_demand.shape[0]):
-                scalar = router.allocate(batch_demand[t], batch_prices[t], limits)
+                scalar = twin.allocate(batch_demand[t], batch_prices[t], limits)
                 assert np.array_equal(batched[t], scalar)
 
     @given(seed=st.integers(0, 2**32 - 1))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import InfeasibleAllocationError
-from repro.routing.base import RoutingProblem, greedy_fill
+from repro.routing.base import RoutingProblem
 from repro.traffic.clusters import akamai_like_deployment
+
+from router_oracle import greedy_fill
 
 
 class TestRoutingProblem:

@@ -1,9 +1,10 @@
-"""Property tests: ``allocate_batch`` must replay ``allocate`` exactly.
+"""Property tests: ``allocate_batch`` must replay the per-step oracle exactly.
 
-The batched engine is only allowed to exist because every router's
-batch path is equivalent, step for step, to its scalar path — these
-tests pin that contract on randomized demand/price/limit tensors,
-including limit regimes tight enough to force the greedy spill and the
+Each router has one allocation body, its batch form; the scalar
+program it replaced lives on as the per-step oracle
+(``router_oracle.py``). These tests pin the two together, step for
+step, on randomized demand/price/limit tensors, including limit
+regimes tight enough to force the greedy spill and the
 beyond-preference fallback.
 """
 
@@ -24,12 +25,12 @@ from repro.routing import (
     RoutingProblem,
     StaticSingleHubRouter,
     batch_allocate,
-    greedy_fill,
     greedy_fill_batch,
 )
 from repro.traffic.clusters import akamai_like_deployment
 
 import walk_oracle
+from router_oracle import greedy_fill, oracle
 
 ROUTER_KINDS = ("static", "baseline", "price", "joint")
 
@@ -72,11 +73,12 @@ def _inputs(seed: int, n_steps: int, tightness: float):
 
 
 def _assert_batch_replays_scalar(router, demand, prices, limits):
-    """``batch_allocate`` — and the router's own batch form, which it
-    skips for a single float64 step — equal the scalar calls bitwise."""
+    """``batch_allocate``, the router's own batch form and its shared
+    ``allocate`` equal the oracle's per-step calls bitwise."""
+    twin = oracle(router)
     try:
         reference = np.stack(
-            [router.allocate(demand[t], prices[t], limits) for t in range(len(demand))]
+            [twin.allocate(demand[t], prices[t], limits) for t in range(len(demand))]
         )
     except InfeasibleAllocationError:
         with pytest.raises(InfeasibleAllocationError):
@@ -84,6 +86,7 @@ def _assert_batch_replays_scalar(router, demand, prices, limits):
         return
     np.testing.assert_array_equal(batch_allocate(router, demand, prices, limits), reference)
     np.testing.assert_array_equal(router.allocate_batch(demand, prices, limits), reference)
+    np.testing.assert_array_equal(router.allocate(demand[0], prices[0], limits), reference[0])
 
 
 @pytest.mark.parametrize("kind", ROUTER_KINDS)
@@ -108,6 +111,29 @@ def test_allocate_batch_matches_per_step_big(kind):
         _assert_batch_replays_scalar(router, *_inputs(2009, n_steps, 1.05))
 
 
+@pytest.mark.parametrize("kind", ("price", "joint"))
+def test_load_at_the_fit_tolerance_takes_the_fast_path(kind):
+    """A preferred cluster loaded to exactly ``limit + 1e-9`` still
+    fits: the step keeps its one-cluster-per-state placement instead of
+    spilling the last nanohit."""
+    router = _router(kind, 1500.0)
+    demand, prices, _ = _inputs(7, 1, np.inf)
+    placed = router.allocate_batch(demand, prices, np.full(_problem().n_clusters, np.inf))
+    loads = placed[0].sum(axis=0)
+    limits = np.full_like(loads, np.inf)
+    for c in np.flatnonzero(loads):
+        # The ceiling just below the load whose +1e-9 rounds onto it.
+        limit = loads[c] - 1e-9
+        while limit + 1e-9 < loads[c]:
+            limit = np.nextafter(limit, np.inf)
+        while limit + 1e-9 > loads[c]:
+            limit = np.nextafter(limit, -np.inf)
+        assert limit + 1e-9 == loads[c] and limit < loads[c]
+        limits[c] = limit
+    _assert_batch_replays_scalar(router, demand, prices, limits)
+    np.testing.assert_array_equal(router.allocate_batch(demand, prices, limits), placed)
+
+
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_greedy_fill_batch_matches_scalar(seed):
@@ -125,27 +151,6 @@ def test_greedy_fill_batch_matches_scalar(seed):
     )
     batch = greedy_fill_batch(demand, orders, limits)
     np.testing.assert_array_equal(batch, reference)
-
-
-def test_batch_fallback_shim_preserves_order():
-    """Routers without allocate_batch get sequential per-step calls."""
-
-    calls = []
-
-    class Recorder:
-        def allocate(self, demand, prices, limits):
-            calls.append(float(prices[0]))
-            out = np.zeros((demand.shape[0], limits.shape[0]))
-            out[:, 0] = demand
-            return out
-
-    demand = np.ones((4, 3))
-    prices = np.arange(4, dtype=float)[:, None] * np.ones((4, 2))
-    limits = np.full(2, np.inf)
-    out = batch_allocate(Recorder(), demand, prices, limits)
-    assert calls == [0.0, 1.0, 2.0, 3.0]
-    assert out.shape == (4, 3, 2)
-    assert np.all(out[:, :, 0] == 1.0)
 
 
 class TestGreedyFillFallbackOrder:
@@ -187,9 +192,8 @@ BAD_SHAPES = {
 @pytest.mark.parametrize("n_steps", (1, 3))
 @pytest.mark.parametrize("kind", ("price", "baseline", "joint"))
 def test_batch_allocate_rejects_bad_shapes(kind, n_steps, bad):
-    """Shapes are checked before dispatch, on the batch path as well as
-    the single-step shim: a batch router never sees, say, one price row
-    for three steps."""
+    """Shapes are checked before dispatch, for one step as for many: a
+    batch router never sees, say, one price row for three steps."""
     demand, prices, limits = BAD_SHAPES[bad](*_inputs(7, n_steps, 1.3))
     with pytest.raises(ConfigurationError):
         batch_allocate(_router(kind, 1500.0), demand, prices, limits)
@@ -320,10 +324,11 @@ def test_greedy_fill_quantised_ties(calls, seed, n_steps, shared, padded):
 @settings(max_examples=20, deadline=None)
 def test_routers_quantised_ties(calls, kind, seed, n_steps, shared, threshold_km):
     """On the C walk, each router's ``allocate``, ``allocate_batch``
-    and ``batch_allocate`` equal its ``allocate`` on the Python oracle
-    walk bitwise, on integer demand, integer prices (so price buckets
-    tie) and quantised limits, shared or per step. ``per_step`` makes
-    one call per step, ``vectorised`` one call over the batch."""
+    and ``batch_allocate`` equal its oracle's ``allocate`` on the
+    Python oracle walk bitwise, on integer demand, integer prices (so
+    price buckets tie) and quantised limits, shared or per step.
+    ``per_step`` makes one call per step, ``vectorised`` one call over
+    the batch."""
     problem = _problem()
     rng = np.random.default_rng(seed)
     demand = rng.integers(0, 5, (n_steps, problem.n_states)) * 1000.0
@@ -331,10 +336,11 @@ def test_routers_quantised_ties(calls, kind, seed, n_steps, shared, threshold_km
     prices = rng.integers(15, 60, (n_steps, problem.n_clusters)).astype(float)
     limits = _quantised_limits(rng, demand, problem.n_clusters, shared)
     router = _router(kind, threshold_km)
+    twin = oracle(router)
     step_limits = np.broadcast_to(limits, (n_steps, problem.n_clusters))
     with _python_walk():
         reference = np.stack(
-            [router.allocate(demand[t], prices[t], step_limits[t]) for t in range(n_steps)]
+            [twin.allocate(demand[t], prices[t], step_limits[t]) for t in range(n_steps)]
         )
     if calls == "per_step":
         for t in range(n_steps):

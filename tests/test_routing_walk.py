@@ -23,9 +23,10 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, InfeasibleAllocationError
 from repro.routing import base as routing_base
-from repro.routing.base import greedy_fill, greedy_fill_batch
+from repro.routing.base import greedy_fill_batch
 
 import walk_oracle
+from router_oracle import greedy_fill
 
 
 @st.composite

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.routing import BaselineProximityRouter, PriceConsciousRouter
+from repro.routing import BaselineProximityRouter, PriceConsciousRouter, Router
 from repro.sim import SimulationOptions, simulate, simulate_per_step
 from repro.traffic.synthetic import TraceConfig, make_trace
+
+from router_oracle import oracle
 
 
 class TestOptions:
@@ -207,14 +209,14 @@ class TestBatchedPipelineEquivalence:
         router = BaselineProximityRouter(problem)
         self._assert_equivalent(
             simulate(short_trace, small_dataset, problem, router),
-            simulate_per_step(short_trace, small_dataset, problem, router),
+            simulate_per_step(short_trace, small_dataset, problem, oracle(router)),
         )
 
     def test_price_router_relaxed(self, short_trace, small_dataset, problem):
         router = PriceConsciousRouter(problem, 1500.0)
         self._assert_equivalent(
             simulate(short_trace, small_dataset, problem, router),
-            simulate_per_step(short_trace, small_dataset, problem, router),
+            simulate_per_step(short_trace, small_dataset, problem, oracle(router)),
         )
 
     def test_price_router_followed_95_5(self, trace24, small_dataset, problem, baseline24):
@@ -225,7 +227,7 @@ class TestBatchedPipelineEquivalence:
         router = PriceConsciousRouter(problem, 1500.0)
         self._assert_equivalent(
             simulate(trace24, small_dataset, problem, router, options),
-            simulate_per_step(trace24, small_dataset, problem, router, options),
+            simulate_per_step(trace24, small_dataset, problem, oracle(router), options),
         )
 
     def test_static_router_relaxed_capacity(self, short_trace, small_dataset, problem):
@@ -235,7 +237,7 @@ class TestBatchedPipelineEquivalence:
         options = SimulationOptions(relax_capacity=True)
         self._assert_equivalent(
             simulate(short_trace, small_dataset, problem, router, options),
-            simulate_per_step(short_trace, small_dataset, problem, router, options),
+            simulate_per_step(short_trace, small_dataset, problem, oracle(router), options),
         )
 
     def test_reaction_delay(self, short_trace, small_dataset, problem):
@@ -243,7 +245,7 @@ class TestBatchedPipelineEquivalence:
         options = SimulationOptions(reaction_delay_hours=6)
         self._assert_equivalent(
             simulate(short_trace, small_dataset, problem, router, options),
-            simulate_per_step(short_trace, small_dataset, problem, router, options),
+            simulate_per_step(short_trace, small_dataset, problem, oracle(router), options),
         )
 
     def test_router_prices_override_with_caps(self, trace24, small_dataset, problem, baseline24):
@@ -265,7 +267,7 @@ class TestBatchedPipelineEquivalence:
             trace24,
             small_dataset,
             problem,
-            router,
+            oracle(router),
             options,
             router_prices=rows,
         )
@@ -280,23 +282,25 @@ class TestBatchedPipelineEquivalence:
         small_dataset,
         problem,
     ):
-        # A scalar-only router that raises whenever its single target
-        # cluster is over its limit — per-cluster infeasibility the
-        # engine's total-demand burst predicate cannot anticipate.
-        # The engine must keep the original contract: catch, retry
-        # the step against plain capacity limits.
+        # A router that raises whenever a step's single target cluster
+        # is over its limit — per-cluster infeasibility the engine's
+        # total-demand burst predicate cannot anticipate. The engine
+        # must keep the original contract: catch, retry each step of
+        # the failed batch against the capped limits, then against
+        # plain capacity limits.
         from repro.errors import InfeasibleAllocationError
 
-        class StrictSingleCluster:
+        class StrictSingleCluster(Router):
             def __init__(self, prob, index):
                 self._prob = prob
                 self._index = index
 
-            def allocate(self, demand, prices, limits):
-                if demand.sum() > limits[self._index]:
+            def allocate_batch(self, demand, prices, limits):
+                target = np.broadcast_to(limits, prices.shape)[:, self._index]
+                if (demand.sum(axis=1) > target).any():
                     raise InfeasibleAllocationError("target cluster full")
-                out = np.zeros((self._prob.n_states, self._prob.n_clusters))
-                out[:, self._index] = demand
+                out = np.zeros((len(demand), self._prob.n_states, self._prob.n_clusters))
+                out[:, :, self._index] = demand
                 return out
 
         router = StrictSingleCluster(problem, 0)
