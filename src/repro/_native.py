@@ -1,8 +1,10 @@
 """Build and load repro's C kernels (``kernels.c``) through ctypes.
 
 One library holds them all: ``greedy_walk``, the routers' greedy spill
-walk, and ``ar1_rows``, the AR(1) recursion of the market and traffic
-noise. It is compiled on first import with the system C compiler into
+walk; ``ar1_rows``, the AR(1) recursion of the market and traffic
+noise; ``price_rank``, the price router's choice, fit test and spill
+orders; and ``fold_rows``, the engine ledger's per-step loads and
+running chunk sum. It is compiled on first import with the system C compiler into
 the package's ``__pycache__`` (or ``~/.cache/repro`` when that is not
 writable), under a file name keyed on the sha256 of the source, the
 compiler flags and the platform, so an edited source, changed flags or
@@ -123,9 +125,17 @@ def load(directory: Path | None = None) -> ctypes.CDLL:
     )
     library.ar1_rows.restype = None
     library.ar1_rows.argtypes = [_I64, _I64, ctypes.c_double, _PTR]
+    library.price_rank.restype = _I64
+    library.price_rank.argtypes = (
+        [_I64] * 4 + [_PTR] * 3 + [ctypes.c_double, _PTR, _PTR, _I64] + [_PTR] * 4
+    )
+    library.fold_rows.restype = None
+    library.fold_rows.argtypes = [_I64] * 3 + [_PTR] * 3
     return library
 
 
 _library = load()
 greedy_walk = _library.greedy_walk
 ar1_rows = _library.ar1_rows
+price_rank = _library.price_rank
+fold_rows = _library.fold_rows

@@ -2,12 +2,18 @@
  *
  * greedy_walk  the routers' greedy spill walk (repro.routing.base)
  * ar1_rows     the AR(1) recursion of repro.markets.model.ar1_filter
+ * price_rank   the price router's choice, fit test and spill orders
+ *              (repro.routing.price)
+ * fold_rows    the engine ledger's per-step loads and running chunk sum
+ *              (repro.sim.engine)
  *
- * Both repeat, on the same IEEE-754 doubles in the same order, the
- * arithmetic of the code they replaced, so their outputs are bitwise
- * equal to it. Build with -ffp-contract=off and never -ffast-math.
+ * Each repeats, on the same IEEE-754 doubles in the same order, the
+ * arithmetic of the code it replaced (kept as test oracles under
+ * tests/), so its outputs are bitwise equal to it. Build with
+ * -ffp-contract=off and never -ffast-math.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -39,8 +45,10 @@
  *            entries are harmless (a revisited cluster takes nothing).
  *   headroom (n_steps, n_clusters), consumed in place
  *   order    (n_steps, n_states) state processing order per step
- *   out      (n_out_rows, n_states, n_clusters), zero-filled; step i
- *            writes row out_rows[i] (row i when out_rows is NULL).
+ *   out      (n_out_rows, n_states, n_clusters); step i zero-fills row
+ *            out_rows[i] (row i when out_rows is NULL) and writes its
+ *            takes there, while the row is in cache, so callers need
+ *            not zero the tensor first. Other rows are not touched.
  *
  * Returns WALK_OK, or WALK_INFEASIBLE with failure = {step, state,
  * demand that could not be placed}, or
@@ -80,6 +88,7 @@ int greedy_walk(int64_t n_steps, int64_t n_states, int64_t n_clusters, int64_t n
         }
         const int64_t *step_prefs = prefs + block * n_states * n_prefs;
         double *step_out = out + row * n_states * n_clusters;
+        memset(step_out, 0, (size_t)(n_states * n_clusters) * sizeof *step_out);
         for (int64_t rank = 0; rank < n_states; rank++) {
             int64_t s = step_order[rank];
             if (s < 0 || s >= n_states) {
@@ -176,6 +185,192 @@ void ar1_rows(int64_t n_rows, int64_t n, double phi, double *data)
             double y = z + 1.0 * x;
             z = x * 0.0 - y * (-phi);
             row[t] = y;
+        }
+    }
+}
+
+/* price_rank: the price-conscious router's per-step choice (§6.1).
+ *
+ * For every step t and state s, over the state's candidate clusters
+ * (row s of by_distance: candidate indices ordered by distance, ties
+ * toward the lower index, padded with -1):
+ *
+ *   min     the lowest candidate price (+inf for no candidate);
+ *   cutoff  min + price_threshold, one double add;
+ *   cheap   the candidates priced <= cutoff;
+ *   choice  the nearest cheap candidate, lowest index on ties, or
+ *           cluster 0 when no cheap candidate has a finite distance
+ *           (np.argmin of the cheap candidates' distances, inf
+ *           elsewhere, as the numpy router computed it).
+ *
+ * The step fits when every cluster's load, the sum of its choosing
+ * states' demand in state order from 0.0, is <= limit + 1e-9; a
+ * fitting step zero-fills row t of out and writes demand[t, s] to
+ * out[t, s, choice[s]]. A step that does not fit is listed in spill
+ * (ascending) and gets a block of spill orders: each state's
+ * candidates ordered by (bucket, price within bucket, distance,
+ * index), bucket 0 being prices not above the cutoff, where price
+ * does not count, and bucket 1 the rest. This is the stable
+ * np.lexsort of the numpy router, -0.0 == 0.0 included; with a NaN
+ * cutoff (a -inf minimum plus an infinite threshold) every candidate
+ * is in bucket 0 and none is cheap. Entries past a state's candidates
+ * are -1, which the greedy walk skips.
+ *
+ * Everything above depends on the step's price row alone, through
+ * comparisons and the cutoff add, so a row equal to the last one
+ * ranked (== per cluster; -0.0 matches 0.0, NaN matches nothing)
+ * reuses its choice, and its block of orders: spill_blocks[i] is the
+ * block of spill row i, for greedy_walk's pref_blocks.
+ *
+ * Inputs (all C-contiguous): prices (n_steps, n_clusters); by_distance
+ * (n_states, n_prefs); distances (n_states, n_clusters); demand
+ * (n_steps, n_states); limits (n_limit_rows, n_clusters), one shared
+ * row or one per step; out (n_steps, n_states, n_clusters), whose
+ * spilling rows are left as they were, for the walk to fill. Outputs:
+ * spill (n_steps,), spill_blocks (n_steps,) and orders (n_steps,
+ * n_states, n_prefs), of which the first n_spill entries and the
+ * blocks they name are written. Every by_distance entry must be a
+ * cluster index or -1: the caller builds it, and nothing is checked.
+ *
+ * Returns n_spill, or -1 when the scratch buffers cannot be allocated.
+ */
+
+/* Rank one state's candidates into row: bucket 0 in distance order,
+ * then bucket 1 by a stable insertion sort on price. */
+static void rank_state(const double *price, const int64_t *cands, int64_t n_prefs, double cutoff,
+                       int64_t *row)
+{
+    int64_t n = 0;
+    for (int64_t k = 0; k < n_prefs && cands[k] >= 0; k++)
+        if (!(price[cands[k]] > cutoff))
+            row[n++] = cands[k];
+    int64_t *pricier = row + n;
+    int64_t n_pricier = 0;
+    for (int64_t k = 0; k < n_prefs && cands[k] >= 0; k++) {
+        int64_t c = cands[k];
+        double p = price[c];
+        if (!(p > cutoff))
+            continue;
+        int64_t j = n_pricier++;
+        while (j > 0 && p < price[pricier[j - 1]]) {
+            pricier[j] = pricier[j - 1];
+            j--;
+        }
+        pricier[j] = c;
+    }
+    for (int64_t k = n + n_pricier; k < n_prefs; k++)
+        row[k] = -1;
+}
+
+int64_t price_rank(int64_t n_steps, int64_t n_states, int64_t n_clusters, int64_t n_prefs,
+                   const double *prices, const int64_t *by_distance, const double *distances,
+                   double price_threshold, const double *demand, const double *limits,
+                   int64_t n_limit_rows, double *out, int64_t *spill, int64_t *spill_blocks,
+                   int64_t *orders)
+{
+    double *cutoff = malloc(((size_t)n_states + 1) * sizeof *cutoff);
+    double *loads = malloc(((size_t)n_clusters + 1) * sizeof *loads);
+    int64_t *choice = malloc(((size_t)n_states + 1) * sizeof *choice);
+    if (cutoff == NULL || loads == NULL || choice == NULL) {
+        free(cutoff);
+        free(loads);
+        free(choice);
+        return -1;
+    }
+    int64_t n_spill = 0, n_blocks = 0;
+    const double *ranked = NULL;  /* the price row choice and cutoff hold */
+    const double *blocked = NULL; /* the price row of block n_blocks - 1 */
+    for (int64_t t = 0; t < n_steps; t++) {
+        const double *price = prices + t * n_clusters;
+        const double *step_demand = demand + t * n_states;
+        int same = ranked != NULL;
+        for (int64_t c = 0; same && c < n_clusters; c++)
+            same = price[c] == ranked[c];
+        if (!same) {
+            for (int64_t s = 0; s < n_states; s++) {
+                const int64_t *cands = by_distance + s * n_prefs;
+                double low = INFINITY;
+                for (int64_t k = 0; k < n_prefs && cands[k] >= 0; k++)
+                    if (price[cands[k]] < low)
+                        low = price[cands[k]];
+                double cut = low + price_threshold;
+                int64_t pick = 0;
+                for (int64_t k = 0; k < n_prefs && cands[k] >= 0; k++) {
+                    int64_t c = cands[k];
+                    if (price[c] <= cut) {
+                        if (distances[s * n_clusters + c] < INFINITY)
+                            pick = c;
+                        break;
+                    }
+                }
+                cutoff[s] = cut;
+                choice[s] = pick;
+            }
+            ranked = price;
+        }
+        for (int64_t c = 0; c < n_clusters; c++)
+            loads[c] = 0.0;
+        for (int64_t s = 0; s < n_states; s++)
+            loads[choice[s]] += step_demand[s];
+        const double *limit = limits + (n_limit_rows == 1 ? 0 : t) * n_clusters;
+        int fits = 1;
+        for (int64_t c = 0; c < n_clusters; c++)
+            if (!(loads[c] <= limit[c] + 1e-9))
+                fits = 0;
+        if (fits) {
+            double *step_out = out + t * n_states * n_clusters;
+            memset(step_out, 0, (size_t)(n_states * n_clusters) * sizeof *step_out);
+            for (int64_t s = 0; s < n_states; s++)
+                step_out[s * n_clusters + choice[s]] = step_demand[s];
+            continue;
+        }
+        int fresh = blocked == NULL;
+        for (int64_t c = 0; !fresh && c < n_clusters; c++)
+            fresh = !(price[c] == blocked[c]);
+        if (fresh) {
+            int64_t *block = orders + n_blocks * n_states * n_prefs;
+            for (int64_t s = 0; s < n_states; s++)
+                rank_state(price, by_distance + s * n_prefs, n_prefs, cutoff[s],
+                           block + s * n_prefs);
+            blocked = price;
+            n_blocks++;
+        }
+        spill[n_spill] = t;
+        spill_blocks[n_spill] = n_blocks - 1;
+        n_spill++;
+    }
+    free(cutoff);
+    free(loads);
+    free(choice);
+    return n_spill;
+}
+
+/* fold_rows: one pass of the engine ledger over n_rows steps of
+ * (n_states, n_clusters) allocations. Row t writes
+ * loads[t, c] = sum over s of a[t, s, c], added in state order from
+ * 0.0, and adds a[t] into the running chunk sum partial (n_states,
+ * n_clusters), step after step. These are the adds of numpy's
+ * a.sum(axis=1) and of a buffered chunk's sum(axis=0) wherever numpy
+ * adds in sequence, which is every shape with n_clusters > 1 and
+ * n_states * n_clusters > 1; on the degenerate ones numpy coalesces
+ * the axis into a pairwise sum, and this order is the contract.
+ */
+void fold_rows(int64_t n_rows, int64_t n_states, int64_t n_clusters, const double *allocations,
+               double *loads, double *partial)
+{
+    int64_t cells = n_states * n_clusters;
+    for (int64_t t = 0; t < n_rows; t++) {
+        const double *a = allocations + t * cells;
+        double *load = loads + t * n_clusters;
+        for (int64_t c = 0; c < n_clusters; c++)
+            load[c] = 0.0;
+        for (int64_t s = 0; s < n_states; s++) {
+            const double *cell = a + s * n_clusters;
+            double *sum = partial + s * n_clusters;
+            for (int64_t c = 0; c < n_clusters; c++) {
+                load[c] += cell[c];
+                sum[c] += cell[c];
+            }
         }
     }
 }

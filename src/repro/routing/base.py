@@ -232,9 +232,10 @@ def greedy_fill_batch(
     out / out_rows:
         Optional destination: write step ``i``'s allocation into
         ``out[out_rows[i]]`` instead of materialising a fresh tensor.
-        ``out`` must be a C-contiguous float64 tensor whose rows are
-        zero-filled; this is how the spill repair of a mostly-fast
-        batch writes straight into the big allocation tensor.
+        ``out`` must be a C-contiguous float64 tensor; the walk
+        zero-fills each row it writes and leaves the others alone.
+        This is how the spill repair of a mostly-fast batch writes
+        straight into the big allocation tensor.
 
     Raises
     ------
@@ -264,7 +265,7 @@ def greedy_fill_batch(
 
     order = state_order if state_order is not None else (-demand).argsort(axis=1)
     if out is None:
-        out = np.zeros((n_steps, n_states, n_clusters))
+        out = np.empty((n_steps, n_states, n_clusters))
     with _profiling().phase("greedy_repair"):
         _walk(
             demand,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro._native import price_rank
 from repro.errors import ConfigurationError
 from repro.routing.base import Router, RoutingProblem, greedy_fill_batch
 
@@ -36,6 +37,17 @@ DEFAULT_PRICE_THRESHOLD = 5.0
 #: "any other nearby clusters (< 50km)" for clients with no candidate
 #: inside the distance threshold.
 METRO_RADIUS_KM = 50.0
+
+
+def nearest_first(candidates: list[np.ndarray], distances: np.ndarray) -> np.ndarray:
+    """Each state's candidates (ascending indices) nearest first, ties
+    toward the lower index, padded with -1: the ``(n_states, k)`` rows
+    ``price_rank`` ranks, ``k`` being the largest candidate count."""
+    width = max((c.size for c in candidates), default=0)
+    rows = np.full((len(candidates), width), -1, dtype=np.int64)
+    for s, cands in enumerate(candidates):
+        rows[s, : cands.size] = cands[np.argsort(distances[s, cands], kind="stable")]
+    return rows
 
 
 class PriceConsciousRouter(Router):
@@ -56,7 +68,7 @@ class PriceConsciousRouter(Router):
         self.price_threshold = price_threshold
 
         distances = problem.distances.matrix
-        self._distances = distances
+        self._distances = np.ascontiguousarray(distances, dtype=np.float64)
         self._candidates: list[np.ndarray] = []
         for s in range(problem.n_states):
             within = np.flatnonzero(distances[s] <= distance_threshold_km)
@@ -65,18 +77,7 @@ class PriceConsciousRouter(Router):
                 metro = np.flatnonzero(distances[s] <= distances[s, nearest] + METRO_RADIUS_KM)
                 within = np.union1d(np.array([nearest]), metro)
             self._candidates.append(within)
-        # Dense candidate mask and masked-distance matrix for the
-        # vectorised fast path.
-        self._mask = np.zeros_like(distances, dtype=bool)
-        for s, cands in enumerate(self._candidates):
-            self._mask[s, cands] = True
-        self._masked_distance = np.where(self._mask, distances, np.inf)
-        self._candidate_counts = np.array([c.size for c in self._candidates])
-        # Positions past a state's candidates: the spill orders pad
-        # them with -1 (skipped by the greedy walk), so spill beyond
-        # the candidate set is left to the walk's fallback pass over
-        # the non-candidate clusters.
-        self._padding = np.arange(problem.n_clusters)[None, :] >= self._candidate_counts[:, None]
+        self._by_distance = nearest_first(self._candidates, self._distances)
 
     @property
     def candidate_sets(self) -> list[np.ndarray]:
@@ -91,79 +92,60 @@ class PriceConsciousRouter(Router):
     ) -> np.ndarray:
         """Allocate each step's demand by price within distance limits.
 
-        Fast path: the cheap-bucket / closest-within-bucket choice is
-        computed for every step at once and the per-step loads via one
-        flat bincount over time; where every state's single best
-        candidate has room, the step's allocation is one cluster per
-        state. Steps whose single-best choice would overflow a limit
-        take the greedy spill along their preference orders instead.
-
-        The choice and the spill preference orders depend on a step's
-        price row alone, and hourly prices repeat over the steps of an
-        hour, so both are computed once per run of consecutive equal
-        price rows (a ``(runs, n_states, n_clusters)`` tensor) and
-        gathered per step. Equal rows give equal comparisons (``-0.0
-        == 0.0`` included); a row holding NaN equals no row and stays
-        a run of its own.
+        The C kernel ``price_rank`` (``repro/kernels.c``) picks every
+        state's cluster: the closest of its candidates priced within
+        ``price_threshold`` of the cheapest. Steps where those choices
+        fit every limit take them; the others list their candidates
+        by (price bucket, price beyond the bucket, distance) and take
+        the greedy spill along those orders instead.
         """
+        demand = np.ascontiguousarray(demand, dtype=np.float64)
+        prices = np.ascontiguousarray(prices, dtype=np.float64)
+        limits = np.ascontiguousarray(limits, dtype=np.float64)
         n_steps = demand.shape[0]
-        n_states, n_clusters = self._mask.shape
-
-        starts = np.empty(n_steps, dtype=bool)
-        starts[:1] = True
-        (prices[1:] != prices[:-1]).any(axis=1, out=starts[1:])
-        run_of = starts.cumsum(dtype=np.intp) - 1
-        masked_prices = np.where(self._mask[None, :, :], prices[starts][:, None, :], np.inf)
-        cutoff = masked_prices.min(axis=2) + self.price_threshold
-        cheap = masked_prices <= cutoff[:, :, None]
-        choice_key = np.where(cheap, self._masked_distance[None, :, :], np.inf)
-        preferred = choice_key.argmin(axis=2)[run_of]
-
-        flat = (np.arange(n_steps)[:, None] * n_clusters + preferred).ravel()
-        loads = np.bincount(
-            flat,
-            weights=demand.ravel(),
-            minlength=n_steps * n_clusters,
-        ).reshape(n_steps, n_clusters)
-        fits = (loads <= limits + 1e-9).all(axis=1)
-
-        allocation = np.zeros((n_steps, n_states, n_clusters))
-        fast = fits.nonzero()[0]
-        if fast.size:
-            allocation[fast[:, None], np.arange(n_states)[None, :], preferred[fast]] = demand[fast]
-        spill = (~fits).nonzero()[0]
-        if spill.size:
-            # Orders are built, and padded, for the runs holding a
-            # spilling step only; each spilling step walks its run's
-            # block.
-            spill_run = run_of[spill]
-            ranked_runs = np.zeros(len(masked_prices), dtype=bool)
-            ranked_runs[spill_run] = True
-            ranked = self._preference_orders(masked_prices[ranked_runs], cutoff[ranked_runs])
-            spill_run = (ranked_runs.cumsum() - 1)[spill_run]
+        (n_states, n_clusters), n_prefs = self._distances.shape, self._by_distance.shape[1]
+        # The kernel reads these arrays unchecked.
+        if (
+            demand.shape != (n_steps, n_states)
+            or prices.shape != (n_steps, n_clusters)
+            or limits.shape not in ((n_clusters,), (n_steps, n_clusters))
+        ):
+            raise ConfigurationError(
+                f"price router routes {n_states} states over {n_clusters} clusters, got "
+                f"demand {demand.shape}, prices {prices.shape} and limits {limits.shape}"
+            )
+        # price_rank fills the fitting rows and the walk the spilling ones.
+        allocation = np.empty((n_steps, n_states, n_clusters))
+        spill = np.empty(n_steps, dtype=np.int64)
+        blocks = np.empty(n_steps, dtype=np.int64)
+        orders = np.empty((n_steps, n_states, n_prefs), dtype=np.int64)
+        n_spill = price_rank(
+            n_steps,
+            n_states,
+            n_clusters,
+            n_prefs,
+            prices.ctypes.data,
+            self._by_distance.ctypes.data,
+            self._distances.ctypes.data,
+            self.price_threshold,
+            demand.ctypes.data,
+            limits.ctypes.data,
+            1 if limits.ndim == 1 else n_steps,
+            allocation.ctypes.data,
+            spill.ctypes.data,
+            blocks.ctypes.data,
+            orders.ctypes.data,
+        )
+        if n_spill < 0:
+            raise MemoryError("price_rank could not allocate its scratch buffers")
+        if n_spill:
+            spill, blocks = spill[:n_spill], blocks[:n_spill]
             greedy_fill_batch(
                 demand[spill],
-                np.where(self._padding, -1, ranked),
+                orders[: blocks[-1] + 1],
                 limits[spill] if limits.ndim == 2 else limits,
-                preference_rows=spill_run,
+                preference_rows=blocks,
                 out=allocation,
                 out_rows=spill,
             )
         return allocation
-
-    def _preference_orders(self, masked_prices: np.ndarray, cutoff: np.ndarray) -> np.ndarray:
-        """Every state's clusters ordered by (price bucket, distance).
-
-        Prices within ``price_threshold`` of a state's cheapest
-        candidate (``cutoff``) form the cheap bucket; within it, closer
-        wins, and spill continues to pricier candidates by price, then
-        distance. One stable lexsort over the last axis of the
-        ``(..., n_states, n_clusters)`` candidate-masked prices orders
-        every state of every step at once; non-candidates are forced
-        into a trailing bucket, so each row starts with the state's
-        candidates in preference order.
-        """
-        bucket = np.where(self._mask, (masked_prices > cutoff[..., None]).astype(np.int8), 2)
-        within_bucket_price = np.where(bucket == 0, 0.0, masked_prices)
-        distance_key = np.broadcast_to(self._distances, masked_prices.shape)
-        return np.lexsort((distance_key, within_bucket_price, bucket), axis=-1)

@@ -67,6 +67,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro._native import fold_rows
 from repro.errors import ConfigurationError, InfeasibleAllocationError
 from repro.markets.generator import MarketDataset
 from repro.routing.base import Router, RoutingProblem, batch_allocate
@@ -114,29 +115,51 @@ def batch_chunk_steps(n_states: int, n_clusters: int) -> int:
 
 
 class _AllocationReducer:
-    """Chunked reduction of per-step allocations into (state, cluster) totals.
+    """Per-step loads and chunked (state, cluster) totals of a stream.
 
     Floating-point addition is not associative, so the *order* in which
     per-step allocation tensors are summed is part of the engine's
     contract: both pipelines push every step's allocation through this
-    reducer — a step-ordered chunk buffer reduced with ``sum(axis=0)``
-    at chunk boundaries — which makes the distance histograms of
-    :func:`simulate` and :func:`simulate_per_step` agree *bit for bit*,
-    not merely to rounding tolerance.
+    reducer, which adds each step into a running ``(n_states,
+    n_clusters)`` chunk partial sum in step order and adds the partial
+    into the totals at chunk boundaries. That makes the distance
+    histograms of :func:`simulate` and :func:`simulate_per_step` agree
+    *bit for bit*, not merely to rounding tolerance. The same pass
+    (``fold_rows`` in ``repro/kernels.c``) writes each step's per-
+    cluster ``loads``, summed over states in state order.
     """
 
     def __init__(self, n_steps: int, n_states: int, n_clusters: int) -> None:
-        self._chunk = min(n_steps, batch_chunk_steps(n_states, n_clusters))
-        self._buffer = np.zeros((self._chunk, n_states, n_clusters))
+        self.loads = np.empty((n_steps, n_clusters))
+        self._partial = np.zeros((n_states, n_clusters))
         self.total = np.zeros((n_states, n_clusters))
+        # The kernel writes through these; the arrays live as long as self.
+        self._loads_at = self.loads.ctypes.data
+        self._partial_at = self._partial.ctypes.data
 
-    def put(self, offsets: slice | int, allocations: np.ndarray) -> None:
-        """Record allocations at chunk-relative step offsets."""
-        self._buffer[offsets] = allocations
+    def fold(self, t0: int, allocations: np.ndarray) -> None:
+        """Fold ``(k, n_states, n_clusters)`` allocations for steps
+        ``t0 .. t0 + k - 1`` into the loads and the chunk's partial sum."""
+        allocations = np.ascontiguousarray(allocations, dtype=np.float64)
+        k, n_states, n_clusters = allocations.shape
+        if (n_states, n_clusters) != self._partial.shape or not 0 <= t0 <= len(self.loads) - k:
+            raise ConfigurationError(
+                f"cannot fold allocations {allocations.shape} at step {t0} into "
+                f"{self.loads.shape[0]} steps of a {self._partial.shape} partial sum"
+            )
+        fold_rows(
+            k,
+            n_states,
+            n_clusters,
+            allocations.ctypes.data,
+            self._loads_at + t0 * self.loads.strides[0],
+            self._partial_at,
+        )
 
-    def reduce_chunk(self, size: int) -> None:
-        """Fold the first ``size`` buffered steps into the totals."""
-        self.total += self._buffer[:size].sum(axis=0)
+    def reduce_chunk(self) -> None:
+        """Add the chunk's partial sum into the totals and start the next."""
+        self.total += self._partial
+        self._partial.fill(0.0)
 
     def histogram(self, bin_index: np.ndarray, n_bins: int) -> np.ndarray:
         """The demand-weighted distance histogram of the whole run."""
@@ -372,28 +395,26 @@ class _Ledger:
     def __init__(self, horizon: _Horizon) -> None:
         problem = horizon.problem
         self.horizon = horizon
-        self.loads = np.empty((horizon.n_steps, problem.n_clusters))
         self.tracker = (
             Bandwidth95Tracker(horizon.caps, horizon.n_steps) if horizon.caps is not None else None
         )
         self.reducer = _AllocationReducer(horizon.n_steps, problem.n_states, problem.n_clusters)
+        self.loads = self.reducer.loads
 
     def fold(self, t0: int, allocations: np.ndarray) -> None:
         """Account allocations for steps ``t0 .. t0 + k - 1``."""
         k = allocations.shape[0]
-        self.loads[t0 : t0 + k] = allocations.sum(axis=1)
-        if self.tracker is not None:
-            self.tracker.record_batch(self.loads[t0 : t0 + k])
         chunk = self.horizon.chunk_steps
         i = 0
         while i < k:
-            offset = (t0 + i) % chunk
-            span = min(k - i, chunk - offset)
-            self.reducer.put(slice(offset, offset + span), allocations[i : i + span])
+            span = min(k - i, chunk - (t0 + i) % chunk)
+            self.reducer.fold(t0 + i, allocations[i : i + span])
             end = t0 + i + span
             if end % chunk == 0 or end == self.horizon.n_steps:
-                self.reducer.reduce_chunk(offset + span)
+                self.reducer.reduce_chunk()
             i += span
+        if self.tracker is not None:
+            self.tracker.record_batch(self.loads[t0 : t0 + k])
 
     def result(self, server_counts: np.ndarray | None) -> SimulationResult:
         """Package the completed stream into a :class:`SimulationResult`."""
@@ -604,7 +625,7 @@ def simulate_per_step(
     tracker = None
     if horizon.caps is not None:
         tracker = Bandwidth95Tracker(horizon.caps, trace.n_steps)
-    loads = np.empty((trace.n_steps, n_clusters))
+    loads = reducer.loads
     for t in range(trace.n_steps):
         try:
             allocation = router.allocate(demand[t], horizon.prices[t], horizon.limits)
@@ -613,14 +634,11 @@ def simulate_per_step(
                 raise
             # Demand cannot fit under the 95/5 caps this step: burst.
             allocation = router.allocate(demand[t], horizon.prices[t], horizon.capacity_limits)
-        step_loads = allocation.sum(axis=0)
-        loads[t] = step_loads
+        reducer.fold(t, allocation[None])
         if tracker is not None:
-            tracker.record(step_loads)
-        offset = t % chunk_steps
-        reducer.put(offset, allocation)
-        if offset == chunk_steps - 1 or t == trace.n_steps - 1:
-            reducer.reduce_chunk(offset + 1)
+            tracker.record(loads[t])
+        if (t + 1) % chunk_steps == 0 or t == trace.n_steps - 1:
+            reducer.reduce_chunk()
     histogram = reducer.histogram(horizon.bin_index, horizon.n_bins)
     return _finalize(
         trace.start,

@@ -116,6 +116,8 @@ class SimulationResult:
         self.loads = loads
         self.paid_prices = paid_prices
         self.distance_profile = DistanceProfile(distance_histogram)
+        self._utilization: np.ndarray | None = None
+        self._costs: dict[EnergyModelParams, np.ndarray] = {}
 
     # -- shape -------------------------------------------------------------
 
@@ -134,10 +136,17 @@ class SimulationResult:
     # -- load statistics ------------------------------------------------------
 
     def utilization(self) -> np.ndarray:
-        """Per-step, per-cluster utilization in [0, 1]."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.where(self.capacities > 0, self.loads / self.capacities, 0.0)
-        return np.clip(u, 0.0, 1.0)
+        """Per-step, per-cluster utilization in [0, 1].
+
+        Computed on the first call; every call returns that read-only
+        array.
+        """
+        if self._utilization is None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u = np.where(self.capacities > 0, self.loads / self.capacities, 0.0)
+            self._utilization = np.clip(u, 0.0, 1.0)
+            self._utilization.setflags(write=False)
+        return self._utilization
 
     def mean_utilization(self) -> float:
         """System-wide average utilization, capacity-weighted."""
@@ -173,8 +182,19 @@ class SimulationResult:
         return watts * self.step_seconds / (1e6 * SECONDS_PER_HOUR)
 
     def cost_by_cluster(self, params: EnergyModelParams) -> np.ndarray:
-        """Total electricity cost per cluster, dollars."""
-        return np.sum(self.energy_mwh(params) * self.paid_prices, axis=0)
+        """Total electricity cost per cluster, dollars.
+
+        Computed once per energy model; every call with an equal model
+        returns that read-only array, so costing a baseline against
+        several runs, or reading a run's cost and its savings, prices
+        its energy once.
+        """
+        cost = self._costs.get(params)
+        if cost is None:
+            cost = np.sum(self.energy_mwh(params) * self.paid_prices, axis=0)
+            cost.setflags(write=False)
+            self._costs[params] = cost
+        return cost
 
     def total_cost(self, params: EnergyModelParams) -> float:
         """Total electricity cost of the run, dollars."""

@@ -7,10 +7,10 @@ replay, and which the equivalence suites compared it with. Those
 programs live here, unchanged, as subclasses of the production
 routers. ``allocate`` is the old scalar body, with its own copies of
 the helpers it shared with the batch form (the price router's
-preference lexsort, the joint router's score masking), so a subclass
-shares only its router's configuration; its ``allocate_batch`` raises,
-so an oracle handed to the batched engine fails loudly instead of
-running the production body it inherits. ``greedy_fill`` is the
+preference lexsort and candidate masks, the joint router's score
+masking), so a subclass shares only its router's configuration; its
+``allocate_batch`` raises, so an oracle handed to the batched engine
+fails loudly instead of running the production body it inherits. ``greedy_fill`` is the
 one-step greedy fill those bodies called. It runs the production C walk, which
 ``test_routing_walk.py`` pins to ``walk_oracle.py``, and looks the walk
 up on ``repro.routing.base`` at call time, so
@@ -25,6 +25,8 @@ twin, so a suite can compare ``router.allocate_batch(...)`` with
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.errors import InfeasibleAllocationError
@@ -33,6 +35,8 @@ from repro.routing.akamai import BaselineProximityRouter
 from repro.routing.joint import JointOptimizationRouter
 from repro.routing.price import PriceConsciousRouter
 from repro.routing.static import StaticSingleHubRouter
+
+import price_oracle
 
 
 def greedy_fill(
@@ -119,6 +123,10 @@ class _PerStep:
 
 
 class OraclePriceRouter(_PerStep, PriceConsciousRouter):
+    @functools.cached_property
+    def _masks(self):
+        return price_oracle.masks(self._candidates, self._distances)
+
     def allocate(self, demand: np.ndarray, prices: np.ndarray, limits: np.ndarray) -> np.ndarray:
         """Allocate one step's demand by price within distance limits.
 
@@ -126,12 +134,13 @@ class OraclePriceRouter(_PerStep, PriceConsciousRouter):
         the allocation is one cluster per state and is computed with
         pure array operations. Otherwise the greedy spill logic runs.
         """
-        n_states, n_clusters = self._mask.shape
-        masked_prices = np.where(self._mask, prices[None, :], np.inf)
+        mask, masked_distance, padding = self._masks
+        n_states, n_clusters = mask.shape
+        masked_prices = np.where(mask, prices[None, :], np.inf)
         cutoff = masked_prices.min(axis=1) + self.price_threshold
         cheap = masked_prices <= cutoff[:, None]
         # Within the cheap bucket, the geographically closest wins.
-        choice_key = np.where(cheap, self._masked_distance, np.inf)
+        choice_key = np.where(cheap, masked_distance, np.inf)
         preferred = np.argmin(choice_key, axis=1)
 
         loads = np.bincount(preferred, weights=demand, minlength=n_clusters)
@@ -141,7 +150,7 @@ class OraclePriceRouter(_PerStep, PriceConsciousRouter):
             return allocation
 
         ranked = self._preference_orders(masked_prices, cutoff)
-        return greedy_fill(demand, np.where(self._padding, -1, ranked), limits)
+        return greedy_fill(demand, np.where(padding, -1, ranked), limits)
 
     def _preference_orders(self, masked_prices: np.ndarray, cutoff: np.ndarray) -> np.ndarray:
         """Every state's clusters ordered by (price bucket, distance).
@@ -154,7 +163,7 @@ class OraclePriceRouter(_PerStep, PriceConsciousRouter):
         non-candidates are forced into a trailing bucket, so each row
         starts with the state's candidates in preference order.
         """
-        bucket = np.where(self._mask, (masked_prices > cutoff[..., None]).astype(np.int8), 2)
+        bucket = np.where(self._masks[0], (masked_prices > cutoff[..., None]).astype(np.int8), 2)
         within_bucket_price = np.where(bucket == 0, 0.0, masked_prices)
         return np.lexsort((self._distances, within_bucket_price, bucket), axis=-1)
 

@@ -243,35 +243,30 @@ class TestPreferenceOncePerPriceRun:
     def test_simulate_ranks_each_spilling_run_once(
         self, problem, short_trace, small_dataset, monkeypatch
     ):
+        # price_rank writes one block of spill orders per run of equal
+        # price rows among the spilling steps; the walk gets the blocks.
         calls: list[dict] = []
         real_batch = PriceConsciousRouter.allocate_batch
-        real_orders = PriceConsciousRouter._preference_orders
         real_fill = routing_price.greedy_fill_batch
 
         def batch(self, demand, prices, limits):
             calls.append({"prices": np.array(prices), "ranked": 0, "spilled": []})
             return real_batch(self, demand, prices, limits)
 
-        def orders(self, masked_prices, cutoff):
-            calls[-1]["ranked"] += masked_prices.shape[0]
-            return real_orders(self, masked_prices, cutoff)
-
-        def fill(*args, out_rows, **kwargs):
+        def fill(demand, orders, *args, out_rows, **kwargs):
+            calls[-1]["ranked"] = len(orders)
             calls[-1]["spilled"] = np.asarray(out_rows)
-            return real_fill(*args, out_rows=out_rows, **kwargs)
+            return real_fill(demand, orders, *args, out_rows=out_rows, **kwargs)
 
         monkeypatch.setattr(PriceConsciousRouter, "allocate_batch", batch)
-        monkeypatch.setattr(PriceConsciousRouter, "_preference_orders", orders)
         monkeypatch.setattr(routing_price, "greedy_fill_batch", fill)
         simulate(short_trace, small_dataset, problem, PriceConsciousRouter(problem, 1500.0))
 
         assert calls
         for call in calls:
-            prices = call["prices"]
-            starts = np.ones(len(prices), dtype=bool)
-            starts[1:] = np.any(prices[1:] != prices[:-1], axis=1)
-            run_of = np.cumsum(starts) - 1
-            assert call["ranked"] == np.unique(run_of[call["spilled"]]).size
+            rows = call["prices"][call["spilled"]]
+            runs = int(len(rows) > 0) + int(np.any(rows[1:] != rows[:-1], axis=1).sum())
+            assert call["ranked"] == runs
         spilled_steps = sum(len(call["spilled"]) for call in calls)
         ranked_rows = sum(call["ranked"] for call in calls)
         assert 0 < ranked_rows < spilled_steps

@@ -10,8 +10,9 @@ multiples of a demand or exact partial sums of a step's demand (so
 ``remaining == headroom`` ties and exact drains occur); distinct,
 repeat-padded and ``-1``-padded preference rows, shared, per step or
 in blocks that steps pick through ``preference_rows``;
-custom state orders; scatter into a larger tensor through ``out_rows``;
-and infeasible batches, which must raise the same error.
+custom state orders; scatter into a larger, NaN-filled tensor through
+``out_rows`` (each walked row is zero-filled first, the others keep
+their NaN); and infeasible batches, which must raise the same error.
 """
 
 from __future__ import annotations
@@ -98,7 +99,9 @@ def walk_cases(draw):
 
 
 def _run(walk, demand, prefs, preference_rows, headroom, order, n_out, out_rows):
-    out = np.zeros((n_out, demand.shape[1], headroom.shape[1]))
+    # NaN-filled: the walk zero-fills each row it writes, and leaves the
+    # rows of a scatter that no step names as they were.
+    out = np.full((n_out, demand.shape[1], headroom.shape[1]), np.nan)
     try:
         walk(
             demand,

@@ -111,3 +111,48 @@ class TestEnergyAccounting:
     def test_shape_validation(self):
         with pytest.raises(ConfigurationError):
             make_result([[1.0, 2.0]], [[1.0]])
+
+
+class TestCostsComputedOnce:
+    """Each (result, energy model) is costed once; the floats are the
+    formula's, byte for byte, however often and in whatever order they
+    are asked for."""
+
+    @staticmethod
+    def formula_cost(result, params):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.where(result.capacities > 0, result.loads / result.capacities, 0.0)
+        u = np.clip(u, 0.0, 1.0)
+        p_idle, p_peak = params.idle_power_watts, params.peak_power_watts
+        shape = 2.0 * u - np.power(u, params.exponent)
+        watts = result.server_counts[None, :] * (
+            p_idle + (params.pue - 1.0) * p_peak + (p_peak - p_idle) * shape
+        ) + params.correction_watts
+        energy = watts * result.step_seconds / (1e6 * 3600.0)
+        return u, np.sum(energy * result.paid_prices, axis=0)
+
+    def test_costs_are_the_formula_bytes_and_read_only(self):
+        rng = np.random.default_rng(4)
+        loads = rng.random((50, 3)) * 1200.0
+        run = make_result(loads, rng.random((50, 3)) * 90.0, capacities=[1000.0, 0.0, 800.0])
+        base = make_result(loads[::-1].copy(), rng.random((50, 3)) * 90.0)
+        for params in (GOOGLE_LIKE, FULLY_ELASTIC, NO_POWER_MANAGEMENT, GOOGLE_LIKE):
+            u, by_cluster = self.formula_cost(run, params)
+            _, base_by_cluster = self.formula_cost(base, params)
+            expected_savings = 1.0 - float(by_cluster.sum()) / float(base_by_cluster.sum())
+            for _ in range(2):
+                assert run.utilization().tobytes() == u.tobytes()
+                assert run.cost_by_cluster(params).tobytes() == by_cluster.tobytes()
+                assert run.total_cost(params) == float(by_cluster.sum())
+                assert run.savings_vs(base, params) == expected_savings
+        assert run.utilization() is run.utilization()
+        assert run.cost_by_cluster(GOOGLE_LIKE) is run.cost_by_cluster(GOOGLE_LIKE)
+        for array in (run.utilization(), run.cost_by_cluster(GOOGLE_LIKE)):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_savings_keep_the_positive_baseline_guard(self):
+        run = make_result([[10.0]], [[50.0]])
+        free = make_result([[10.0]], [[0.0]])
+        with pytest.raises(ConfigurationError, match="positive"):
+            run.savings_vs(free, GOOGLE_LIKE)

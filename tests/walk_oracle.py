@@ -9,7 +9,9 @@ same IEEE-754 doubles as numpy float64), subtracted from the cluster's
 headroom and the state's remaining demand in that order. Demand left
 after a state's preference row spills to the clusters the row does not
 list, by descending headroom at the time (a stable sort, so ties go to
-the lower index), after a no-op revisit of the listed ones.
+the lower index), after a no-op revisit of the listed ones. Like the
+kernel, it zero-fills each output row it writes and leaves the other
+rows of ``out`` alone.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ def walk(demand, prefs, headroom, order, out, out_rows, *, preference_rows=None,
             offset=int(out_row) * n_states * n_clusters,
             where=where.format(i),
         )
+    out[np.asarray(list(rows), dtype=np.intp)] = 0.0
     np.put(out, cells, takes)
 
 
